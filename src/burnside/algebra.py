@@ -4,15 +4,22 @@ Elements are coefficient vectors over the subgroup-class basis [G/H].
 Multiplication uses structure constants obtained once per group by
 decomposing explicit products of transitive G-sets, so it is exact over
 any coefficient ring, including Z and Z/m where the marks matrix is not
-invertible.  Marks, the table of marks, the primitive idempotents (for
-invertible group order) and unit testing with ghost pullback live here.
+invertible.  This module is the only one that contracts structure
+constants: ``multiply`` and ``mult_matrix`` share one helper, and every
+other product (tensor actions, Casimir and Leibniz systems, inversion)
+is read from them.  Marks, the table of marks, the primitive idempotents
+(for invertible group order) and unit testing live here too.
+
+Over Z, Q and Z/m an element is a unit exactly when all its marks are
+units (Dress's description of the prime ideals of B(G)), so ``invert``
+checks the marks and then solves a*x = [G/G] once over the element's
+own ring.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     GroupMismatchError,
@@ -22,7 +29,7 @@ from .errors import (
 )
 from .groups import Group, normalizer, subgroup_lattice
 from .gsets import GSet, decompose, fixed_points, product, transitive
-from .rings import QQ, Matrix, ModularRing, RationalRing, solve_linear, Solution
+from .rings import Matrix, Solution, solve_linear
 
 _LOCK = threading.Lock()
 _MARKS_CACHE = {}
@@ -198,18 +205,32 @@ def identity_element(g: Group, ring) -> BurnsideElement:
     return BurnsideElement.basis(g, ring, lat.class_count - 1)
 
 
+def _contract(g: Group, ring, terms) -> dict:
+    """Sum of c * [G/H_i][G/H_j] over (i, j, c) in terms: class -> coefficient."""
+    out = {}
+    for i, j, c in terms:
+        for l, mult in structure_constants(g, i, j).items():
+            out[l] = ring.add(out.get(l, ring.zero),
+                              ring.mul(c, ring.from_int(mult)))
+    return out
+
+
 def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Bilinear extension of the product of transitive G-sets."""
     a._compat(b)
     ring = a.ring
-    out = {}
-    for i, ca in a.coeffs.items():
-        for j, cb in b.coeffs.items():
-            c = ring.mul(ca, cb)
-            for l, mult in structure_constants(a.group, i, j).items():
-                out[l] = ring.add(out.get(l, ring.zero),
-                                  ring.mul(c, ring.from_int(mult)))
-    return BurnsideElement(a.group, ring, out)
+    terms = ((i, j, ring.mul(ca, cb))
+             for i, ca in a.coeffs.items() for j, cb in b.coeffs.items())
+    return BurnsideElement(a.group, ring, _contract(a.group, ring, terms))
+
+
+def mult_matrix(a: BurnsideElement):
+    """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
+    g, ring = a.group, a.ring
+    n = subgroup_lattice(g).class_count
+    cols = [_contract(g, ring, ((i, j, c) for i, c in a.coeffs.items()))
+            for j in range(n)]
+    return [[cols[j].get(l, ring.zero) for j in range(n)] for l in range(n)]
 
 
 def mark(a: BurnsideElement, label: str):
@@ -285,76 +306,28 @@ class NotInvertible:
 def invert(a: BurnsideElement):
     """Invert a, or explain why it is not a unit.
 
-    The candidate inverse is read off the ghost side: every mark must be
-    a unit, the entrywise-inverted mark vector is pulled back through the
-    marks matrix, and the result must multiply back to [G/G].  For Z/m
-    the pullback may have several preimages; the kernel coset of the
-    marks matrix is searched for one that passes the product check, and
-    that search is exhaustive, so a NotInvertible outcome is definitive.
+    Over Z, Q and Z/m, a is a unit exactly when every mark of a is a unit
+    (Dress, 1969: the prime ideals of B(G) are pulled back from the marks),
+    so a non-unit mark is the only failure and its NotInvertible outcome
+    is definitive.  Otherwise the inverse is the solution of one exact
+    system a*x = [G/G] over a's own ring, checked by multiplying back.
     """
     g = a.group
     ring = a.ring
     lat = subgroup_lattice(g)
-    tom = table_of_marks(g)
-    n = lat.class_count
     ms = marks_vector(a)
-    for j in range(n):
-        if not ring.is_unit(ms[j]):
+    for j, m in enumerate(ms):
+        if not ring.is_unit(m):
             return NotInvertible(
                 "non_unit_mark",
-                f"mark at {lat.classes[j].label} is {ring.to_str(ms[j])}")
-    ghost = [ring.inv(m) for m in ms]
+                f"mark at {lat.classes[j].label} is {ring.to_str(m)}")
     one = identity_element(g, ring)
-
-    # pull the inverted ghost vector back through the marks matrix:
-    # find x with marks(x) = ghost, i.e. M^T x = ghost.
-    mt = [[tom.matrix[k][j] for k in range(n)] for j in range(n)]
-    if isinstance(ring, ModularRing):
-        res = solve_linear(Matrix.from_rows(ring, mt), ghost)
-        if not isinstance(res, Solution):
-            return NotInvertible("non_integral_pullback",
-                                 "inverted marks have no preimage mod m")
-        cand = BurnsideElement(g, ring, dict(enumerate(res.particular)))
-        if multiply(a, cand) == one:
-            return cand
-        # adjust within the ghost-kernel coset: a * (x0 + sum t_i k_i) = 1
-        kernel = res.kernel
-        prods = [multiply(a, BurnsideElement(g, ring, dict(enumerate(k))))
-                 for k in kernel]
-        rhs_elem = one.sub(multiply(a, cand))
-        rows = []
-        rhs = []
-        for ci in range(n):
-            rows.append([p.coeffs.get(ci, ring.zero) for p in prods])
-            rhs.append(rhs_elem.coeffs.get(ci, ring.zero))
-        if kernel:
-            adj = solve_linear(Matrix.from_rows(ring, rows), rhs)
-            if isinstance(adj, Solution):
-                out = dict(enumerate(res.particular))
-                for t, k in zip(adj.particular, kernel):
-                    for idx, kv in enumerate(k):
-                        out[idx] = ring.add(out.get(idx, ring.zero),
-                                            ring.mul(t, kv))
-                cand = BurnsideElement(g, ring, out)
-                if multiply(a, cand) != one:
-                    raise InternalInconsistencyError("adjusted inverse fails")
-                return cand
-        return NotInvertible("product_check",
-                             "no preimage of the inverted marks is an inverse")
-
-    # Z and Q: the marks matrix is injective, so the pullback is unique.
-    res = solve_linear(Matrix.from_rows(QQ, mt),
-                       [Fraction(x) for x in ghost])
+    rhs = [one.coeffs.get(l, ring.zero) for l in range(lat.class_count)]
+    res = solve_linear(Matrix.from_rows(ring, mult_matrix(a)), rhs)
     if not isinstance(res, Solution):
-        raise InternalInconsistencyError("marks matrix is not invertible over Q")
-    if isinstance(ring, RationalRing):
-        cand = BurnsideElement(g, ring, dict(enumerate(res.particular)))
-    else:
-        if any(f.denominator != 1 for f in res.particular):
-            return NotInvertible("non_integral_pullback",
-                                 "ghost inverse does not pull back integrally")
-        cand = BurnsideElement(
-            g, ring, {i: int(f) for i, f in enumerate(res.particular)})
+        raise InternalInconsistencyError(
+            "all marks are units but a*x = [G/G] has no solution")
+    cand = BurnsideElement(g, ring, dict(enumerate(res.particular)))
     if multiply(a, cand) != one:
-        raise InternalInconsistencyError("ghost pullback fails the product check")
+        raise InternalInconsistencyError("solved inverse fails the product check")
     return cand

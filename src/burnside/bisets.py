@@ -34,6 +34,7 @@ from .groups import (
     direct_product,
     squared,
     subgroup_lattice,
+    union_find,
 )
 from .gsets import GSet, conjugation_gset, induce, restrict
 from .rings import ZZ
@@ -132,18 +133,7 @@ def compose(u: Biset, v: Biset) -> Biset:
     mid = u.right
     nu, nv = u.size, v.size
     total = nu * nv
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    find, union = union_find(total)
 
     for gmid in mid.generators:
         # x.g = (e_left, g^-1).x on u; g.y = (g, e_right).y on v

@@ -75,7 +75,7 @@ def _max_order(args) -> int | None:
         return args.max_order
     env = os.environ.get("BURNSIDE_MAX_ORDER")
     if env is not None:
-        if not env.isdigit():
+        if not (env.isascii() and env.isdigit()):
             raise errors.ParseError(f"BURNSIDE_MAX_ORDER must be an integer: {env!r}")
         return int(env)
     return None

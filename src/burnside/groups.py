@@ -377,6 +377,28 @@ class SubgroupLattice:
         return self._moebius[(ki, hi)]
 
 
+def union_find(size: int):
+    """Union-find on 0..size-1 with path halving; returns (find, union).
+
+    Every root is the least member of its class, so find gives the same
+    representative whatever order the unions came in.
+    """
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    return find, union
+
+
 def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     """Enumerate all subgroups of g with conjugacy classes and Moebius values.
 
@@ -424,20 +446,10 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     index_of = {s.members: i for i, s in enumerate(subgroups)}
 
     # conjugacy classes via the conjugation action on the subgroup list
-    class_id = list(range(len(subgroups)))
-
-    def find(i):
-        while class_id[i] != i:
-            class_id[i] = class_id[class_id[i]]
-            i = class_id[i]
-        return i
-
+    find, union = union_find(len(subgroups))
     for i, s in enumerate(subgroups):
         for x in g.elements():
-            j = index_of[tuple(sorted(g.conj(x, m) for m in s.members))]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                class_id[max(ri, rj)] = min(ri, rj)
+            union(i, index_of[tuple(sorted(g.conj(x, m) for m in s.members))])
 
     buckets = {}
     for i in range(len(subgroups)):
@@ -697,7 +709,7 @@ def _parse_cycles(text: str):
             raise ParseError(f"empty cycle in {text!r}")
         pts = []
         for tok in body:
-            if not tok.isdigit() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
                 raise ParseError(f"cycle points must be positive integers: {tok!r}")
             pts.append(int(tok))
         if len(set(pts)) != len(pts):
@@ -803,7 +815,7 @@ def _build_spec(s: str) -> Group:
         left, right = _split_product_args(s[len("prod("):-1])
         return direct_product(_build_spec(left.strip()), _build_spec(right.strip()))
     head, body = s[0], s[1:]
-    if head in "CDS" and body.isdigit():
+    if head in "CDS" and body.isascii() and body.isdigit():
         n = int(body)
         if head == "C":
             if n > MAX_GROUP_ORDER:

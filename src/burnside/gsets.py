@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupMismatchError, NotAGroupError, NotContainedError
-from .groups import Group, Subgroup, subgroups_conjugate, trivial_subgroup
+from .groups import (
+    Group,
+    Subgroup,
+    subgroups_conjugate,
+    trivial_subgroup,
+    union_find,
+)
 
 
 class GSet:
@@ -201,18 +207,7 @@ def induce(x: GSet, h: Subgroup, k: Group) -> GSet:
         raise GroupMismatchError("g-set must live over the subgroup itself")
     nx = x.size
     total = k.order * nx
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    find, union = union_find(total)
 
     gens_local = h.generators_local()
     for a in k.elements():

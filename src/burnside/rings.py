@@ -166,7 +166,7 @@ def ring_from_spec(spec: str):
         return QQ
     if s.startswith("Z/"):
         body = s[2:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ParseError(f"bad modulus in ring spec {spec!r}")
         m = int(body)
         if m < 2:

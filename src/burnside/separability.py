@@ -8,12 +8,15 @@ Three decision procedures, each with a constructive certificate:
   unsolvability certificate for the full Casimir linear system.
 * ``functor_separability``: the shifted Burnside functor attached to G is
   separable exactly when |G| is a unit; the witness is an inverse of the
-  conjugation class, and the idempotent-built inverse must agree with the
-  ghost-pullback inverse.
+  conjugation class, and the inverse built from the idempotents must
+  agree with the one ``invert`` solves for.
 * ``derivation_space``: the module of derivations of the Burnside algebra
   (equal to first Hochschild cohomology, since inner derivations vanish
   for a commutative algebra acting on itself), solved as the kernel of
-  the Leibniz constraints through the structure constants.
+  the Leibniz constraints.
+
+Every product here is read from ``algebra``: ``multiply``, and
+``mult_matrix`` of an element or of each basis class.
 
 The commutant computation pins down which elements over G x G commute
 with the identity biset under the two one-sided diagonal products; the
@@ -30,8 +33,8 @@ from .algebra import (
     identity_element,
     idempotent_system,
     invert,
+    mult_matrix,
     multiply,
-    structure_constants,
     transitive_of_class,
 )
 from .bisets import gamma
@@ -52,7 +55,7 @@ from .groups import (
     subgroups_conjugate,
 )
 from .gsets import induce_along, orbits, stabilizer
-from .rings import Matrix, Solution, solve_linear
+from .rings import ZZ, Matrix, Solution, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +100,13 @@ class TensorElement:
         return f"TensorElement({self.group.label}; {self.ring.spec})"
 
 
-def mult_matrix(a: BurnsideElement):
-    """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
-    g, ring = a.group, a.ring
+def _basis_mult_matrices(g: Group):
+    """Integer multiplication matrices of the basis classes.
+
+    ls[a][l][j] is the coefficient of [G/H_l] in [G/H_a][G/H_j].
+    """
     n = subgroup_lattice(g).class_count
-    m = [[ring.zero] * n for _ in range(n)]
-    for j in range(n):
-        for i, c in a.coeffs.items():
-            for l, mult in structure_constants(g, i, j).items():
-                m[l][j] = ring.add(m[l][j], ring.mul(c, ring.from_int(mult)))
-    return m
+    return [mult_matrix(BurnsideElement.basis(g, ZZ, a)) for a in range(n)]
 
 
 def tensor_act_left(x: BurnsideElement, u: TensorElement) -> TensorElement:
@@ -154,17 +154,16 @@ def tensor_act_right(u: TensorElement, x: BurnsideElement) -> TensorElement:
 def tensor_mu(u: TensorElement) -> BurnsideElement:
     """The product map: sum of u[H][K] * [G/H]*[G/K]."""
     g, ring = u.group, u.ring
-    out = {}
+    ls = _basis_mult_matrices(g)
     n = len(u.matrix)
-    for i in range(n):
-        for j in range(n):
-            c = u.matrix[i][j]
-            if ring.is_zero(c):
-                continue
-            for l, mult in structure_constants(g, i, j).items():
-                out[l] = ring.add(out.get(l, ring.zero),
-                                  ring.mul(c, ring.from_int(mult)))
-    return BurnsideElement(g, ring, out)
+    out = [ring.zero] * n
+    for i, urow in enumerate(u.matrix):
+        for l, lrow in enumerate(ls[i]):
+            for j, mult in enumerate(lrow):
+                if mult:
+                    out[l] = ring.add(out[l],
+                                      ring.mul(urow[j], ring.from_int(mult)))
+    return BurnsideElement(g, ring, dict(enumerate(out)))
 
 
 def casimir_from_idempotents(g: Group, ring) -> TensorElement:
@@ -223,14 +222,10 @@ def casimir_linear_system(g: Group, ring):
     """
     lat = subgroup_lattice(g)
     n = lat.class_count
+    ls = _basis_mult_matrices(g)
     rows = []
     rhs = []
-    for a in range(n):
-        # integer multiplication matrix of the basis element a
-        la = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for l, mult in structure_constants(g, a, j).items():
-                la[l][j] = mult
+    for la in ls:
         for i in range(n):
             for j in range(n):
                 row = [0] * (n * n)
@@ -241,11 +236,7 @@ def casimir_linear_system(g: Group, ring):
                 rhs.append(0)
     top = n - 1  # class of G itself
     for b in range(n):
-        row = [0] * (n * n)
-        for h in range(n):
-            for k in range(n):
-                row[h * n + k] += structure_constants(g, h, k).get(b, 0)
-        rows.append(row)
+        rows.append([ls[h][b][k] for h in range(n) for k in range(n)])
         rhs.append(1 if b == top else 0)
     matrix = Matrix.from_rows(ring, rows)
     return matrix, [ring.from_int(x) for x in rhs]
@@ -307,7 +298,7 @@ def functor_separability(g: Group, ring) -> FunctorVerdict:
 
     Decided by invertibility of the conjugation class; when |G| is a
     unit, the explicit inverse sum over |C_G(H)|^-1 e_H must agree with
-    the ghost-pullback inverse.
+    the inverse that ``invert`` solves for, an independent second route.
     """
     gam = gamma(g, ring)
     res = invert(gam)
@@ -330,7 +321,7 @@ def functor_separability(g: Group, ring) -> FunctorVerdict:
         raise InternalInconsistencyError("centralizer inverse fails gamma * alpha = 1")
     if alpha != res:
         raise InternalInconsistencyError(
-            "idempotent inverse disagrees with ghost pullback")
+            "idempotent inverse disagrees with the solved inverse")
     return FunctorVerdict(True, gam, gamma_inverse=alpha)
 
 
@@ -479,17 +470,17 @@ def leibniz_system(g: Group, ring):
     """
     lat = subgroup_lattice(g)
     n = lat.class_count
+    ls = _basis_mult_matrices(g)
     rows = []
     for i in range(n):
         for j in range(i, n):
-            cij = structure_constants(g, i, j)
             for b in range(n):
                 row = [0] * (n * n)
-                for l, c in cij.items():
-                    row[l * n + b] += c
+                for l in range(n):
+                    row[l * n + b] = ls[i][l][j]
                 for k in range(n):
-                    row[i * n + k] -= structure_constants(g, k, j).get(b, 0)
-                    row[j * n + k] -= structure_constants(g, i, k).get(b, 0)
+                    row[i * n + k] -= ls[k][b][j]
+                    row[j * n + k] -= ls[i][b][k]
                 rows.append(row)
     return Matrix.from_rows(ring, rows)
 
@@ -523,8 +514,8 @@ def satisfies_leibniz(g: Group, ring, matrix) -> bool:
         for j in range(i, n):
             xj = BurnsideElement.basis(g, ring, j)
             lhs = BurnsideElement.zero(g, ring)
-            for l, c in structure_constants(g, i, j).items():
-                lhs = lhs.add(d_of(l).scale(ring.from_int(c)))
+            for l, c in multiply(xi, xj).coeffs.items():
+                lhs = lhs.add(d_of(l).scale(c))
             rhs = multiply(d_of(i), xj).add(multiply(xi, d_of(j)))
             if lhs != rhs:
                 return False

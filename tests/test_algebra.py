@@ -268,15 +268,19 @@ def test_invert_agrees_with_direct_solve(spec):
         elements.append(identity_element(g, ring).sub(
             BurnsideElement.basis(g, ring, 0)))
     for a in elements:
-        ghost_route = invert(a)
+        inverse = invert(a)
         solve_route = _invert_by_linear_solve(a)
-        if isinstance(ghost_route, NotInvertible):
+        if isinstance(inverse, NotInvertible):
             assert solve_route is None
         else:
             assert solve_route is not None
             # inverses are unique in a commutative ring
             assert multiply(a, solve_route) == identity_element(a.group, a.ring)
-            assert solve_route == ghost_route
+            assert solve_route == inverse
+            # the ghost side: marks are ring homomorphisms, so the marks
+            # of the inverse are the inverted marks
+            assert marks_vector(inverse) == [a.ring.inv(m)
+                                             for m in marks_vector(a)]
 
 
 @pytest.mark.parametrize("spec", ["C2", "C3"])

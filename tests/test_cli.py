@@ -165,6 +165,15 @@ def test_error_codes(capsys):
     code, _, err = run_cli(capsys, "commutant", "D8", "--ring", "Q")
     assert code == 2 and err.startswith("E_RESOURCE:")
 
+    # only ASCII digits are numbers: Unicode digits are parse errors, not
+    # internal errors, and are never read as their ASCII counterparts
+    for argv in (("subgroups", "S\u00b2"), ("subgroups", "perm:(1 \u00b2)"),
+                 ("gamma", "S3", "--ring", "Z/\u00b3"), ("tom", "C\u0663"),
+                 ("subgroups", "perm:(1 \u0662)"),
+                 ("gamma", "S3", "--ring", "Z/\u0663")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("E_PARSE:"), argv
+
 
 def test_max_order_flag_and_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "tom", "S3", "--max-order", "4")
@@ -175,6 +184,10 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
     # explicit flag wins over the environment
     code, _, _ = run_cli(capsys, "tom", "S3", "--max-order", "10")
     assert code == 0
+    for bad in ("\u00b2", "\u0663"):
+        monkeypatch.setenv("BURNSIDE_MAX_ORDER", bad)
+        code, _, err = run_cli(capsys, "tom", "S3")
+        assert code == 2 and err.startswith("E_PARSE:"), bad
 
 
 def test_global_flags_accepted_before_subcommand(capsys):
