@@ -1,14 +1,19 @@
 """The Burnside algebra of a group over a coefficient ring.
 
 Elements are coefficient vectors over the subgroup-class basis [G/H].
-Multiplication uses structure constants obtained once per group by
-decomposing explicit products of transitive G-sets, so it is exact over
-any coefficient ring, including Z and Z/m where the marks matrix is not
-invertible.  This module is the only one that contracts structure
-constants: ``multiply`` and ``mult_matrix`` share one helper, and every
-other product (tensor actions, Casimir and Leibniz systems, inversion)
-is read from them.  Marks, the table of marks, the primitive idempotents
-(for invertible group order) and unit testing live here too.
+The marks homomorphism B(G) -> prod_(K) Z, x -> (|x^K|)_K, is injective
+and the table of marks is lower triangular (Gluck 1981), so every
+product is computed in the ghost ring: lift the coefficients to
+integers (residues as they are, rationals over one common denominator),
+map them through the sparse rows of the table, multiply pointwise, and
+come back by exact back-substitution through the same rows, from the
+last class down.  A nonzero remainder there would mean a ghost vector
+outside B(G) and is reported as an internal inconsistency.  The table itself comes from the
+subgroup lattice, which is the only per-group cache, so ``multiply``,
+``mult_matrix``, ``structure_constants``, ``mark`` and ``marks_vector``
+share one integer kernel and every other product (tensor actions,
+Casimir and Leibniz systems, inversion) is read from them.  The primitive
+idempotents (for invertible group order) and unit testing live here too.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
 units (Dress's description of the prime ideals of B(G)), so ``invert``
@@ -18,8 +23,9 @@ own ring.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     GroupMismatchError,
@@ -28,29 +34,13 @@ from .errors import (
     RingMismatchError,
 )
 from .groups import Group, normalizer, subgroup_lattice
-from .gsets import GSet, decompose, fixed_points, product, transitive
-from .rings import Matrix, Solution, solve_linear
-
-_LOCK = threading.Lock()
-_MARKS_CACHE = {}
-_SC_CACHE = {}
-_TRANSITIVE_CACHE = {}
+from .gsets import GSet, decompose, transitive
+from .rings import QQ, Matrix, Solution, solve_linear
 
 
 def transitive_of_class(g: Group, ci: int) -> GSet:
-    """The transitive G-set G/H for the lattice class with index ci (cached).
-
-    The result is re-homed onto the requested group object, since the
-    cache identifies groups structurally but callers may rely on factor
-    metadata that equal groups need not share.
-    """
-    with _LOCK:
-        cache = _TRANSITIVE_CACHE.setdefault(g, {})
-    if ci not in cache:
-        lat = subgroup_lattice(g)
-        cache[ci] = transitive(g, lat.class_rep(ci))
-    got = cache[ci]
-    return got if got.group is g else got.rehomed(g)
+    """The transitive G-set G/H for the lattice class with index ci."""
+    return transitive(g, subgroup_lattice(g).class_rep(ci))
 
 
 @dataclass(frozen=True)
@@ -69,35 +59,59 @@ class MarksTable:
 
 
 def table_of_marks(g: Group) -> MarksTable:
-    with _LOCK:
-        cached = _MARKS_CACHE.get(g)
-    if cached is not None:
-        return cached
     lat = subgroup_lattice(g)
-    n = lat.class_count
-    sets = [transitive_of_class(g, i) for i in range(n)]
-    matrix = tuple(
-        tuple(fixed_points(sets[i], lat.class_rep(j)) for j in range(n))
-        for i in range(n)
-    )
-    table = MarksTable(g, tuple(lat.labels()), matrix)
-    with _LOCK:
-        return _MARKS_CACHE.setdefault(g, table)
+    return MarksTable(g, tuple(lat.labels()), lat.marks)
+
+
+# -- the integer ghost-ring kernel ---------------------------------------------
+
+def _ghost(a) -> tuple:
+    """The marks of a as integers over one common denominator: (marks, d).
+
+    Integers and residues mod m are taken as they are and rationals over
+    the least common denominator of a's coefficients; the marks are read
+    through the sparse rows of the table.
+    """
+    lat = subgroup_lattice(a.group)
+    d = lcm(*(c.denominator for c in a.coeffs.values())) if a.ring == QQ else 1
+    v = [0] * lat.class_count
+    for i, c in a.coeffs.items():
+        c = int(c * d)
+        for j, m in lat.marks_rows[i]:
+            v[j] += c * m
+    return v, d
+
+
+def _lower(ring, values, d) -> list:
+    """Integers over the denominator d back in the ring."""
+    make = (lambda v: Fraction(v, d)) if ring == QQ else ring.from_int
+    return [make(v) for v in values]
+
+
+def _unghost(lat, v) -> list:
+    """The integer combination with marks v, by exact back-substitution.
+
+    Row i of the table is the ghost of [G/H_i] and ends on its diagonal,
+    so from the last class down each coefficient is read off the diagonal
+    and its row taken away; classes with nothing left are skipped.
+    """
+    r, x = list(v), [0] * len(v)
+    for i in reversed(range(len(r))):
+        if r[i]:
+            x[i], rem = divmod(r[i], lat.marks[i][i])
+            if rem:
+                raise InternalInconsistencyError(
+                    "marks vector outside the image of the Burnside ring")
+            for j, m in lat.marks_rows[i]:
+                r[j] -= x[i] * m
+    return x
 
 
 def structure_constants(g: Group, i: int, j: int) -> dict:
-    """Coefficients of [G/H_i] * [G/H_j] on the class basis (cached)."""
-    a, b = (i, j) if i <= j else (j, i)
-    with _LOCK:
-        cache = _SC_CACHE.setdefault(g, {})
-    if (a, b) not in cache:
-        lat = subgroup_lattice(g)
-        prod = product(transitive_of_class(g, a), transitive_of_class(g, b))
-        counts = {}
-        for label, mult in decompose(prod).multiplicities().items():
-            counts[lat.class_index_of_label(label)] = mult
-        cache[(a, b)] = counts
-    return cache[(a, b)]
+    """Coefficients of [G/H_i] * [G/H_j] on the class basis."""
+    lat = subgroup_lattice(g)
+    x = _unghost(lat, [p * q for p, q in zip(lat.marks[i], lat.marks[j])])
+    return {l: c for l, c in enumerate(x) if c}
 
 
 class BurnsideElement:
@@ -205,57 +219,33 @@ def identity_element(g: Group, ring) -> BurnsideElement:
     return BurnsideElement.basis(g, ring, lat.class_count - 1)
 
 
-def _contract(g: Group, ring, terms) -> dict:
-    """Sum of c * [G/H_i][G/H_j] over (i, j, c) in terms: class -> coefficient."""
-    out = {}
-    for i, j, c in terms:
-        for l, mult in structure_constants(g, i, j).items():
-            out[l] = ring.add(out.get(l, ring.zero),
-                              ring.mul(c, ring.from_int(mult)))
-    return out
-
-
 def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Bilinear extension of the product of transitive G-sets."""
     a._compat(b)
-    ring = a.ring
-    terms = ((i, j, ring.mul(ca, cb))
-             for i, ca in a.coeffs.items() for j, cb in b.coeffs.items())
-    return BurnsideElement(a.group, ring, _contract(a.group, ring, terms))
+    (va, da), (vb, db) = _ghost(a), _ghost(b)
+    x = _unghost(subgroup_lattice(a.group), [p * q for p, q in zip(va, vb)])
+    return BurnsideElement(a.group, a.ring,
+                           dict(enumerate(_lower(a.ring, x, da * db))))
 
 
 def mult_matrix(a: BurnsideElement):
     """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
-    g, ring = a.group, a.ring
-    n = subgroup_lattice(g).class_count
-    cols = [_contract(g, ring, ((i, j, c) for i, c in a.coeffs.items()))
-            for j in range(n)]
-    return [[cols[j].get(l, ring.zero) for j in range(n)] for l in range(n)]
+    lat = subgroup_lattice(a.group)
+    va, d = _ghost(a)
+    cols = [_lower(a.ring, _unghost(lat, [p * q for p, q in zip(va, row)]), d)
+            for row in lat.marks]
+    return [list(row) for row in zip(*cols)]
 
 
 def mark(a: BurnsideElement, label: str):
     """The mark of a at a subgroup class: the fixed-point count homomorphism."""
-    lat = subgroup_lattice(a.group)
-    j = lat.class_index_of_label(label)
-    tom = table_of_marks(a.group)
-    acc = a.ring.zero
-    for k, v in a.coeffs.items():
-        acc = a.ring.add(acc, a.ring.mul(v, a.ring.from_int(tom.matrix[k][j])))
-    return acc
+    j = subgroup_lattice(a.group).class_index_of_label(label)
+    return marks_vector(a)[j]
 
 
 def marks_vector(a: BurnsideElement):
     """All marks of a, in class order."""
-    tom = table_of_marks(a.group)
-    n = len(tom.labels)
-    ring = a.ring
-    out = [ring.zero] * n
-    for k, v in a.coeffs.items():
-        row = tom.matrix[k]
-        for j in range(n):
-            if row[j]:
-                out[j] = ring.add(out[j], ring.mul(v, ring.from_int(row[j])))
-    return out
+    return _lower(a.ring, *_ghost(a))
 
 
 def idempotent(g: Group, label: str, ring) -> BurnsideElement:

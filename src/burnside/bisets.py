@@ -289,11 +289,11 @@ def diagonal_product(a: BurnsideElement, b: BurnsideElement,
         raise RingMismatchError("diagonal product needs one coefficient ring")
     ring = a.ring
     out = None
+    ys = {cj: transitive_of_class(b.group, cj) for cj in b.coeffs}
     for ci, ca in a.coeffs.items():
         x = transitive_of_class(a.group, ci)
         for cj, cb in b.coeffs.items():
-            y = transitive_of_class(b.group, cj)
-            merged = diagonal_merge_gsets(x, y, ia, ib, layout)
+            merged = diagonal_merge_gsets(x, ys[cj], ia, ib, layout)
             term = BurnsideElement.from_gset(merged, ring).scale(ring.mul(ca, cb))
             out = term if out is None else out.add(term)
     if out is None:

@@ -71,13 +71,13 @@ def _coeff_text(elem) -> str:
 
 
 def _max_order(args) -> int | None:
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("BURNSIDE_MAX_ORDER")
-    if env is not None:
-        if not (env.isascii() and env.isdigit()):
-            raise errors.ParseError(f"BURNSIDE_MAX_ORDER must be an integer: {env!r}")
-        return int(env)
+    """The --max-order flag, else BURNSIDE_MAX_ORDER, as a non-negative int."""
+    for name, text in (("--max-order", args.max_order),
+                       ("BURNSIDE_MAX_ORDER", os.environ.get("BURNSIDE_MAX_ORDER"))):
+        if text is not None:
+            if not (text.isascii() and text.isdigit()):
+                raise errors.ParseError(f"{name} must be an integer: {text!r}")
+            return int(text)
     return None
 
 
@@ -329,7 +329,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit exactly one JSON document on stdout")
-    common.add_argument("--max-order", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--max-order", default=argparse.SUPPRESS,
                         help="reject groups larger than this (also via "
                              "BURNSIDE_MAX_ORDER; hard cap 255)")
 

@@ -2,19 +2,24 @@
 
 Elements of a group of order n are the integers 0..n-1, with a
 distinguished identity index.  Groups compare equal structurally (same
-order, identity and table), so independently built copies of the same
-group share cached derived data: inverse tables, generating sets,
-subgroup lattices, conjugacy classes and Moebius values.
+order, identity and table).
 
-Everything is immutable after construction and all operations are pure,
-so objects are safe to share across threads; cache insertion is guarded
-by a module lock.
+The subgroup lattice is the per-group record everything else reads:
+subgroups, conjugacy classes, Moebius values and the table of marks,
+which is computed from the class member masks on first use (Pfeiffer
+1997), with no G-set built.  Lattices live in one bounded LRU keyed by
+structural equality, so independently built copies of a group share
+one record; hits, inserts and evictions all happen under the module
+lock.  Everything is immutable after construction and all operations
+are pure, so objects are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,8 +33,10 @@ from .errors import (
 MAX_GROUP_ORDER = 255
 DEFAULT_SUBGROUP_CAP = 20000
 
+LATTICE_CACHE_SIZE = 64
+
 _LOCK = threading.Lock()
-_LATTICE_CACHE = {}
+_LATTICE_CACHE = OrderedDict()  # group -> SubgroupLattice, least recent first
 
 
 class Group:
@@ -376,6 +383,29 @@ class SubgroupLattice:
             raise NotContainedError("moebius(K,H) requires K <= H")
         return self._moebius[(ki, hi)]
 
+    @functools.cached_property
+    def marks(self):
+        """The table of marks: entry [i][j] is |(G/H_i)^K_j| for class reps.
+
+        |(G/H)^K| = |N_G(H):H| * #{H' in cl(H) : K <= H'}, since
+        |N_G(H):H| = |G| / (|H| |cl(H)|).  Classes are sorted by order, so
+        the table is lower triangular with |N_G(H_i):H_i| on the diagonal.
+        """
+        reps = [self.class_rep(j).mask for j in range(self.class_count)]
+        rows = []
+        for i, c in enumerate(self.classes):
+            masks = [self.subgroups[s].mask for s in c.member_indices]
+            scale = self.group.order // (self.class_rep(i).order * len(masks))
+            rows.append(tuple(scale * sum(m & k == k for m in masks)
+                              for k in reps))
+        return tuple(rows)
+
+    @functools.cached_property
+    def marks_rows(self):
+        """The nonzero marks of each row as (j, mark) pairs, in increasing j."""
+        return tuple(tuple((j, m) for j, m in enumerate(row) if m)
+                     for row in self.marks)
+
 
 def union_find(size: int):
     """Union-find on 0..size-1 with path halving; returns (find, union).
@@ -403,13 +433,16 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     """Enumerate all subgroups of g with conjugacy classes and Moebius values.
 
     Enumeration runs a breadth-first closure over generator sets seeded
-    from the cyclic subgroups, deduplicating by sorted member sets.
+    from the cyclic subgroups, deduplicating by sorted member sets.  The
+    result is kept in an LRU of the LATTICE_CACHE_SIZE most recent groups.
     """
     cap = DEFAULT_SUBGROUP_CAP if cap is None else cap
     with _LOCK:
-        cached = _LATTICE_CACHE.get(g)
-    if cached is not None:
-        return cached
+        # one lookup: an equal group compares its whole multiplication table
+        lat = _LATTICE_CACHE.pop(g, None)
+        if lat is not None:
+            _LATTICE_CACHE[lat.group] = lat  # now the most recent
+            return lat
 
     # seed: all cyclic subgroups
     cyclics = []
@@ -476,7 +509,11 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     lat = SubgroupLattice(g, subgroups, tuple(classes), tuple(class_of),
                           moebius_map)
     with _LOCK:
-        return _LATTICE_CACHE.setdefault(g, lat)
+        lat = _LATTICE_CACHE.setdefault(g, lat)
+        _LATTICE_CACHE.move_to_end(g)
+        while len(_LATTICE_CACHE) > LATTICE_CACHE_SIZE:
+            _LATTICE_CACHE.popitem(last=False)
+    return lat
 
 
 def _moebius_all_pairs(subgroups):

@@ -7,7 +7,10 @@ generating set of the group, which propagates to all elements.
 
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
-downstream.
+downstream.  Bisets, Mackey and the commutant need these concrete sets;
+the algebra multiplies through the table of marks instead, and
+``product``, ``fixed_points`` and ``decompose`` are the reference route
+the tests check it against.
 """
 
 from __future__ import annotations

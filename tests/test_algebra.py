@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from burnside.algebra import (
     invert,
     mark,
     marks_vector,
+    mult_matrix,
     multiply,
     structure_constants,
     table_of_marks,
@@ -23,7 +25,7 @@ from burnside.errors import (
     RingMismatchError,
 )
 from burnside.groups import build_group, normalizer, subgroup_lattice
-from burnside.gsets import decompose, product, transitive
+from burnside.gsets import decompose, fixed_points, product, transitive
 from burnside.rings import QQ, ZZ, Matrix, Solution, Zmod, solve_linear
 
 TEST_SPECS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8"]
@@ -131,6 +133,67 @@ def test_structure_constants_match_fresh_gset_products(spec):
             expect = {lat.class_index_of_label(lbl): m
                       for lbl, m in fresh.multiplicities().items()}
             assert structure_constants(g, i, j) == expect
+
+
+@pytest.mark.parametrize("spec", TEST_SPECS + ["S4", "D16", "prod(S3,S3)"])
+def test_marks_match_fixed_points_of_transitive_sets(spec):
+    # the lattice formula against the G-set route it replaces
+    g = build_group(spec)
+    lat = subgroup_lattice(g)
+    tom = table_of_marks(g)
+    n = lat.class_count
+    for i in range(n):
+        x = transitive(g, lat.class_rep(i))
+        for j in range(n):
+            assert tom.matrix[i][j] == fixed_points(x, lat.class_rep(j))
+
+
+def _gset_constants(g):
+    """(i, j) -> {l: multiplicity} from fresh products of transitive G-sets."""
+    lat = subgroup_lattice(g)
+    sets = [transitive(g, lat.class_rep(i)) for i in range(lat.class_count)]
+    return {(i, j): {lat.class_index_of_label(lbl): m
+                     for lbl, m in decompose(product(x, y)).multiplicities().items()}
+            for i, x in enumerate(sets) for j, y in enumerate(sets)}
+
+
+def _expand(constants, a, b):
+    """a*b by bilinear expansion over the given structure constants."""
+    ring = a.ring
+    out = {}
+    for i, ca in a.coeffs.items():
+        for j, cb in b.coeffs.items():
+            for l, m in constants[(i, j)].items():
+                out[l] = ring.add(out.get(l, ring.zero),
+                                  ring.mul(ring.mul(ca, cb), ring.from_int(m)))
+    return BurnsideElement(a.group, ring, out)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "prod(C2,C2)", "S4"])
+def test_products_match_gset_expansion(spec):
+    g = build_group(spec)
+    n = subgroup_lattice(g).class_count
+    constants = _gset_constants(g)
+    rng = random.Random(spec)
+    draws = {
+        ZZ: lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+        QQ: lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(2, 9)),
+        Zmod(6): lambda: rng.randint(1, 5),
+    }
+    for ring, draw in draws.items():
+        basis = [BurnsideElement.basis(g, ring, j) for j in range(n)]
+        for _ in range(3):
+            a, b = (BurnsideElement(g, ring, {i: draw() for i in range(n)})
+                    for _ in range(2))
+            ab = multiply(a, b)
+            assert ab == _expand(constants, a, b)
+            assert all(type(v) is type(ring.one) for v in ab.coeffs.values())
+            lm = mult_matrix(a)
+            for j in range(n):
+                col = _expand(constants, a, basis[j])
+                assert [lm[l][j] for l in range(n)] == \
+                    [col.coeffs.get(l, ring.zero) for l in range(n)]
 
 
 def test_idempotent_values_c2():

@@ -188,6 +188,12 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
         monkeypatch.setenv("BURNSIDE_MAX_ORDER", bad)
         code, _, err = run_cli(capsys, "tom", "S3")
         assert code == 2 and err.startswith("E_PARSE:"), bad
+    # the flag goes through the same ASCII-digit check as the variable
+    monkeypatch.delenv("BURNSIDE_MAX_ORDER")
+    for bad in ("\u0663", "\u00b2", "-1"):
+        code, out, err = run_cli(capsys, "tom", "S3", "--max-order", bad)
+        assert code == 2 and out == "", bad
+        assert err.startswith("E_PARSE:") and err.count("\n") == 1, (bad, err)
 
 
 def test_global_flags_accepted_before_subcommand(capsys):

@@ -1,5 +1,6 @@
 """Dual-route checks that pit independent algorithms against each other."""
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from burnside.algebra import (
     BurnsideElement,
     idempotent_system,
     multiply,
+    structure_constants,
     table_of_marks,
 )
 from burnside.bisets import diagonal_merge_gsets, identity_biset, product_of
@@ -137,26 +139,38 @@ def test_iso_equal_transitivity_on_sample():
 
 
 def test_concurrent_reads_agree():
-    # lattice construction and multiplication are pure; parallel callers
-    # must observe identical results
-    g = build_group("perm:(1 2 3 4);(1 3)")  # a fresh copy of D8
+    # the lattice record is the only shared cache; many parallel callers on
+    # a group nobody has built yet, switching threads as often as possible,
+    # must all see one lattice and identical results
+    from burnside.rings import QQ
+    g = build_group("perm:(1 2 3 4 5);(2 5)(3 4)")  # a fresh copy of D10
     results = []
     errors = []
 
     def work():
         try:
             lat = subgroup_lattice(g)
-            from burnside.rings import ZZ
-            a = BurnsideElement.basis(g, ZZ, 1)
-            b = BurnsideElement.basis(g, ZZ, 2)
-            results.append((lat.labels(), multiply(a, b).coeffs))
+            n = lat.class_count
+            a = BurnsideElement(g, QQ, {i: Fraction(i + 1, 3) for i in range(n)})
+            b = BurnsideElement(g, QQ, {i: Fraction(-1, i + 2) for i in range(n)})
+            results.append((lat, table_of_marks(g).matrix, multiply(a, b).coeffs,
+                            [structure_constants(g, i, j)
+                             for i in range(n) for j in range(n)]))
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len({str(r) for r in results}) == 1
+    assert len(results) == 16
+    assert len({id(r[0]) for r in results}) == 1
+    assert all(r[1:] == results[0][1:] for r in results)

@@ -307,6 +307,20 @@ def test_lattice_resource_bound():
         subgroup_lattice(g, cap=3)
 
 
+def test_lattice_cache_is_a_bounded_lru():
+    from burnside.groups import LATTICE_CACHE_SIZE, _LATTICE_CACHE
+    cyclics = [build_group(f"C{n}") for n in range(1, LATTICE_CACHE_SIZE + 2)]
+    first = subgroup_lattice(cyclics[0])
+    labels, marks = first.labels(), first.marks
+    for g in cyclics[1:]:
+        subgroup_lattice(g)
+        assert len(_LATTICE_CACHE) <= LATTICE_CACHE_SIZE
+    assert cyclics[0] not in _LATTICE_CACHE
+    rebuilt = subgroup_lattice(build_group("C1"))
+    assert rebuilt is not first
+    assert rebuilt.labels() == labels and rebuilt.marks == marks
+
+
 def test_structural_equality_shares_caches():
     a = build_group("S3")
     b = build_group("S3")
