@@ -33,7 +33,7 @@ from .errors import (
     NotInvertibleError,
     RingMismatchError,
 )
-from .groups import Group, normalizer, subgroup_lattice
+from .groups import Group, subgroup_lattice
 from .gsets import GSet, decompose, transitive
 from .rings import QQ, Matrix, Solution, solve_linear
 
@@ -259,10 +259,9 @@ def idempotent(g: Group, label: str, ring) -> BurnsideElement:
         raise NotInvertibleError(
             f"|G| = {g.order} is not a unit in {ring.spec}")
     lat = subgroup_lattice(g)
-    hi_class = lat.class_index_of_label(label)
-    rep = lat.class_rep(hi_class)
-    rep_idx = lat.subgroup_index(rep.members)
-    nrm = normalizer(g, rep).order
+    cls = lat.classes[lat.class_index_of_label(label)]
+    rep_idx = cls.rep_index
+    nrm = g.order // len(cls.member_indices)  # |cl(H)| = |G : N_G(H)|
     # integer numerators per class, then one ring division by |N_G(H)|
     numerators = {}
     for ki, sub in enumerate(lat.subgroups):

@@ -30,7 +30,6 @@ from .groups import (
     build_group,
     element_classes,
     moebius,
-    normalizer,
     subgroup_lattice,
     trivial_subgroup,
 )
@@ -121,7 +120,7 @@ def cmd_subgroups(args, out):
             "order": rep.order,
             "class_size": len(cls.member_indices),
             "representative": list(rep.members),
-            "normalizer_order": normalizer(g, rep).order,
+            "normalizer_order": g.order // len(cls.member_indices),
             "moebius_from_trivial": moebius(lat, triv, rep),
         })
     payload = {

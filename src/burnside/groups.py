@@ -5,9 +5,13 @@ distinguished identity index.  Groups compare equal structurally (same
 order, identity and table).
 
 The subgroup lattice is the per-group record everything else reads:
-subgroups, conjugacy classes, Moebius values and the table of marks,
-which is computed from the class member masks on first use (Pfeiffer
-1997), with no G-set built.  Lattices live in one bounded LRU keyed by
+subgroups, conjugacy classes, Moebius values and the table of marks.
+Subgroups are found by cyclic extension over bitmasks: one
+representative per conjugacy class is joined with cyclic subgroups of
+prime-power order, and each new subgroup brings in its conjugation orbit
+(Neubueser's method, as in Pfeiffer 1997).  Moebius values and the table
+of marks are computed on first use, the marks from the class member
+masks with no G-set built.  Lattices live in one bounded LRU keyed by
 structural equality, so independently built copies of a group share
 one record; hits, inserts and evictions all happen under the module
 lock.  Everything is immutable after construction and all operations
@@ -292,17 +296,35 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
 
+def _join(mul, members, mask, gens, z):
+    """Members, mask and generators of <H, z>, where H has the given three.
+
+    H is closed, so its members are multiplied by z only and each new
+    member by every generator; no product of two members is formed.
+    """
+    gens += (z,)
+    members = list(members)
+    seen = set(members)  # faster to probe than the mask
+    old = len(members)
+    for i, a in enumerate(members):  # also visits the members it appends
+        row = mul[a]
+        for s in gens if i >= old else (z,):
+            b = row[s]
+            if b not in seen:
+                seen.add(b)
+                mask |= 1 << b
+                members.append(b)
+    return members, mask, gens
+
+
 def subgroup_closure(g: Group, gens) -> Subgroup:
     """Smallest subgroup of g containing the given elements."""
-    members = {g.identity} | {int(x) for x in gens}
-    queue = list(members)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for c in (g.mul_table[a][b], g.mul_table[b][a]):
-                if c not in members:
-                    members.add(c)
-                    queue.append(c)
+    members, mask, hgens = [g.identity], 1 << g.identity, ()
+    for x in map(int, gens):
+        if not 0 <= x < g.order:
+            raise NotContainedError(f"element {x} outside parent group")
+        if not mask >> x & 1:
+            members, mask, hgens = _join(g.mul_table, members, mask, hgens, x)
     return Subgroup(g, members)
 
 
@@ -335,12 +357,11 @@ class SubgroupLattice:
     listing is byte-identical across runs.
     """
 
-    def __init__(self, group, subgroups, classes, class_of, moebius_map):
+    def __init__(self, group, subgroups, classes, class_of):
         self.group = group
         self.subgroups = subgroups
         self.classes = classes
         self.class_of = class_of
-        self._moebius = moebius_map
         self._index_of = {s.members: i for i, s in enumerate(subgroups)}
         self._label_to_class = {c.label: i for i, c in enumerate(classes)}
 
@@ -382,6 +403,19 @@ class SubgroupLattice:
         if (ki, hi) not in self._moebius:
             raise NotContainedError("moebius(K,H) requires K <= H")
         return self._moebius[(ki, hi)]
+
+    @functools.cached_property
+    def _moebius(self):
+        """Moebius values of the subgroup poset for every pair K <= H."""
+        masks = [s.mask for s in self.subgroups]
+        moebius = {}
+        for k, mk in enumerate(masks):
+            sups = [h for h, mh in enumerate(masks) if mk & mh == mk]  # by order
+            for j, h in enumerate(sups):
+                mh = masks[h]
+                moebius[(k, h)] = 1 if h == k else -sum(
+                    moebius[(k, l)] for l in sups[:j] if masks[l] & mh == masks[l])
+        return moebius
 
     @functools.cached_property
     def marks(self):
@@ -430,11 +464,17 @@ def union_find(size: int):
 
 
 def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
-    """Enumerate all subgroups of g with conjugacy classes and Moebius values.
+    """Enumerate all subgroups of g with their conjugacy classes.
 
-    Enumeration runs a breadth-first closure over generator sets seeded
-    from the cyclic subgroups, deduplicating by sorted member sets.  The
-    result is kept in an LRU of the LATTICE_CACHE_SIZE most recent groups.
+    Enumeration is by cyclic extension (Neubueser; Pfeiffer 1997): starting
+    from the trivial subgroup, one representative of each class is joined
+    with every cyclic subgroup of prime-power order (zuppo) it does not
+    contain.  Every subgroup is the join of a chain of zuppos and the
+    conjugates of a zuppo are zuppos, so this reaches every class, perfect
+    subgroups included.  A join not seen before brings in its whole
+    conjugation orbit, which is its class.  ResourceBoundError is raised as
+    soon as more than cap subgroups are found.  The result is kept in an
+    LRU of the LATTICE_CACHE_SIZE most recent groups.
     """
     cap = DEFAULT_SUBGROUP_CAP if cap is None else cap
     with _LOCK:
@@ -444,49 +484,42 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
             _LATTICE_CACHE[lat.group] = lat  # now the most recent
             return lat
 
-    # seed: all cyclic subgroups
-    cyclics = []
-    seen = set()
+    mul, e = g.mul_table, g.identity
+    zuppos = {}  # mask of each zuppo -> one generator of it
     for x in g.elements():
-        members = {g.identity}
-        y = x
-        while y != g.identity:
-            members.add(y)
-            y = g.mul_table[y][x]
-        key = tuple(sorted(members))
-        if key not in seen:
-            seen.add(key)
-            cyclics.append(frozenset(members))
-
-    known = set(cyclics)
-    known.add(frozenset({g.identity}))
-    queue = list(known)
-    while queue:
-        h = queue.pop()
-        for c in cyclics:
-            if c <= h:
+        members, mask, _ = _join(mul, [e], 1 << e, (), x)
+        if len(members) > 1 and _is_prime_power(len(members)):
+            zuppos.setdefault(mask, x)
+    conj_by = [tuple(g.conj(s, x) for x in g.elements()) for s in g.generators]
+    orbit_of = {1 << e: 0}  # subgroup mask -> number of its class
+    reps = [([e], 1 << e, ())]  # (members, mask, generators) per class
+    for members, mask, gens in reps:  # also visits the classes it appends
+        for zmask, z in zuppos.items():
+            if zmask & mask == zmask:
                 continue
-            k = frozenset(subgroup_closure(g, h | c).members)
-            if k not in known:
-                known.add(k)
-                if len(known) > cap:
-                    raise ResourceBoundError(
-                        f"more than {cap} subgroups in {g.label}")
-                queue.append(k)
+            k = _join(mul, members, mask, gens, z)
+            if k[1] in orbit_of:
+                continue
+            orbit_of[k[1]] = len(reps)
+            orbit = [k[0]]
+            for h in orbit:  # conjugation by the generators of g
+                for perm in conj_by:
+                    c = [perm[x] for x in h]
+                    cmask = sum(1 << x for x in c)
+                    if cmask not in orbit_of:
+                        orbit_of[cmask] = len(reps)
+                        orbit.append(c)
+            reps.append(k)
+            if len(orbit_of) > cap:
+                raise ResourceBoundError(f"more than {cap} subgroups in {g.label}")
 
-    subs = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
+    subs = sorted((tuple(x for x in g.elements() if m >> x & 1)
+                   for m in orbit_of), key=lambda s: (len(s), s))
     subgroups = tuple(Subgroup(g, s) for s in subs)
-    index_of = {s.members: i for i, s in enumerate(subgroups)}
-
-    # conjugacy classes via the conjugation action on the subgroup list
-    find, union = union_find(len(subgroups))
-    for i, s in enumerate(subgroups):
-        for x in g.elements():
-            union(i, index_of[tuple(sorted(g.conj(x, m) for m in s.members))])
 
     buckets = {}
-    for i in range(len(subgroups)):
-        buckets.setdefault(find(i), []).append(i)
+    for i, s in enumerate(subgroups):
+        buckets.setdefault(orbit_of[s.mask], []).append(i)
     raw_classes = sorted(
         buckets.values(),
         key=lambda idxs: (subgroups[idxs[0]].order, subgroups[min(idxs)].members),
@@ -505,9 +538,7 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
         for i in idxs:
             class_of[i] = ci
 
-    moebius_map = _moebius_all_pairs(subgroups)
-    lat = SubgroupLattice(g, subgroups, tuple(classes), tuple(class_of),
-                          moebius_map)
+    lat = SubgroupLattice(g, subgroups, tuple(classes), tuple(class_of))
     with _LOCK:
         lat = _LATTICE_CACHE.setdefault(g, lat)
         _LATTICE_CACHE.move_to_end(g)
@@ -516,32 +547,12 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     return lat
 
 
-def _moebius_all_pairs(subgroups):
-    """Moebius values of the subgroup poset for every pair K <= H."""
-    n = len(subgroups)
-    up = [[] for _ in range(n)]  # up[k]: indices of supergroups of k, by size
-    for k in range(n):
-        mk = subgroups[k].mask
-        for h in range(n):
-            if mk & subgroups[h].mask == mk:
-                up[k].append(h)
-    moebius = {}
-    for k in range(n):
-        sups = sorted(up[k], key=lambda i: (subgroups[i].order, i))
-        for h in sups:
-            if h == k:
-                moebius[(k, k)] = 1
-                continue
-            mh = subgroups[h].mask
-            acc = 0
-            for l in sups:
-                if l == h:
-                    continue
-                ml = subgroups[l].mask
-                if ml & mh == ml:
-                    acc += moebius[(k, l)]
-            moebius[(k, h)] = -acc
-    return moebius
+def _is_prime_power(k: int) -> bool:
+    """Whether k > 1 is a power of a prime."""
+    p = next(p for p in range(2, k + 1) if k % p == 0)
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def moebius(lat: SubgroupLattice, k: Subgroup, h: Subgroup) -> int:

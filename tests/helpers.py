@@ -35,6 +35,26 @@ def subgroups_by_powerset(g):
     return out
 
 
+def generated_subgroup(g, gens):
+    """Sorted members of the subgroup generated by gens, by breadth-first search."""
+    members = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        frontier = {g.mul_table[a][s] for a in frontier for s in gens} - members
+        members |= frontier
+    return tuple(sorted(members))
+
+
+def generating_set(g, members):
+    """A few of the members that generate the subgroup they form."""
+    gens, span = [], {g.identity}
+    for x in members:
+        if x not in span:
+            gens.append(x)
+            span = set(generated_subgroup(g, gens))
+    return gens
+
+
 def moebius_by_zeta_inverse(lat):
     """Moebius values via inversion of the zeta matrix of the subgroup poset."""
     subs = lat.subgroups

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from itertools import combinations
+
 import pytest
 
 from burnside.errors import (
@@ -23,8 +27,17 @@ from burnside.groups import (
     trivial_subgroup,
 )
 
-from helpers import assoc_holds_everywhere, moebius_by_zeta_inverse, subgroups_by_powerset
+from helpers import (
+    assoc_holds_everywhere,
+    generated_subgroup,
+    generating_set,
+    moebius_by_zeta_inverse,
+    subgroups_by_powerset,
+)
 
+
+C2_5 = "prod(C2,prod(C2,prod(C2,prod(C2,C2))))"
+A5 = "perm:(1 2 3 4 5);(1 2 3)"
 
 BUILTIN_SPECS = ["C1", "C2", "C3", "C4", "S3", "D8", "Q8", "prod(C2,C2)",
                  "prod(C2,C3)", "perm:(1 2 3);(1 2)"]
@@ -305,6 +318,63 @@ def test_lattice_resource_bound():
     assert g not in _LATTICE_CACHE
     with pytest.raises(ResourceBoundError):
         subgroup_lattice(g, cap=3)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", A5, "prod(D8,C2)"])
+def test_lattice_holds_every_cyclic_subgroup_and_every_join(spec):
+    # every subgroup is the join of its cyclic subgroups, so a list that
+    # holds them all and is closed under joins holds every subgroup
+    g = build_group(spec)
+    lat = subgroup_lattice(g)
+    known = {s.members for s in lat.subgroups}
+    assert {generated_subgroup(g, [x]) for x in g.elements()} <= known
+    gens = [generating_set(g, s.members) for s in lat.subgroups]
+    for i, j in combinations(range(len(gens)), 2):
+        if not lat.leq(i, j):  # sorted by order, so j never lies below i
+            assert generated_subgroup(g, gens[i] + gens[j]) in known, (i, j)
+
+
+@pytest.mark.parametrize("spec,n_subs,n_classes", [
+    ("S5", 156, 19),
+    (A5, 59, 9),
+    ("prod(S4,C2)", 98, 33),
+    (C2_5, 374, 374),
+    ("prod(D8,D8)", 389, 214),
+])
+def test_lattice_counts_of_larger_groups(spec, n_subs, n_classes):
+    lat = subgroup_lattice(build_group(spec))
+    assert len(lat.subgroups) == n_subs
+    assert lat.class_count == n_classes
+    assert sum(len(c.member_indices) for c in lat.classes) == n_subs
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ("S4", "2079d15c3ee0994d"),
+    ("prod(S3,S3)", "1dcf743efb212ac7"),
+    ("prod(D8,D8)", "dded4d997a332d00"),
+    ("perm:(1 2)(3 4 5 6);(1 2)(3 4)", "7504820436472a0c"),  # S4 on 6 points
+])
+def test_lattice_layout_is_pinned(spec, digest):
+    # members, labels, representatives and class map, as recorded from the
+    # earlier breadth-first enumeration over generator sets
+    lat = subgroup_lattice(build_group(spec))
+    layout = [[list(s.members) for s in lat.subgroups], lat.labels(),
+              [c.rep_index for c in lat.classes], list(lat.class_of)]
+    assert hashlib.sha256(json.dumps(layout).encode()).hexdigest()[:16] == digest
+
+
+def test_lattice_cap_is_checked_during_enumeration():
+    from burnside.errors import ResourceBoundError
+    from burnside.groups import _LATTICE_CACHE
+    c2_5 = build_group(C2_5)
+    # relabel x -> 31 - x, so this table is new to the lattice cache
+    g = Group([[31 - c2_5.mul(31 - a, 31 - b) for b in range(32)]
+               for a in range(32)], identity=31)
+    assert g not in _LATTICE_CACHE
+    with pytest.raises(ResourceBoundError):
+        subgroup_lattice(g, cap=100)
+    assert g not in _LATTICE_CACHE
+    assert len(subgroup_lattice(g, cap=374).subgroups) == 374
 
 
 def test_lattice_cache_is_a_bounded_lru():
