@@ -189,7 +189,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring, rows):
-        norm = tuple(tuple(_coerce(ring, x) for x in row) for row in rows)
+        normalise = _normaliser(ring)
+        norm = tuple(map(normalise, rows))
         widths = {len(row) for row in norm}
         if len(widths) > 1:
             raise DimensionMismatchError("ragged matrix")
@@ -204,12 +205,250 @@ class Matrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def _coerce(ring, x):
+def _normaliser(ring):
+    """The function taking a row of values to the tuple of their ring forms.
+
+    It is picked once per matrix, not once per entry.
+    """
     if isinstance(ring, RationalRing):
-        return Fraction(x)
+        return lambda row: tuple(map(Fraction, row))
     if isinstance(ring, ModularRing):
-        return int(x) % ring.m
-    return int(x)
+        reduce = ring.m.__rmod__  # x -> x % m
+        return lambda row: tuple(map(reduce, map(int, row)))
+    return lambda row: tuple(map(int, row))
+
+
+# ---------------------------------------------------------------------------
+# Sparse exact elimination over Z and Z/m
+# ---------------------------------------------------------------------------
+
+def _sparse(row):
+    """The nonzero entries of a dense row, as {column: value}."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _add_scaled(dst, src, k, m):
+    """dst += k * src for sparse dicts, reduced mod m unless m is 0."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + k * x
+        if m:
+            y %= m
+        if y:
+            dst[j] = y
+        elif j in dst:
+            del dst[j]
+
+
+class _Elimination:
+    """Row and column operations on a sparse block A, by row and column id.
+
+    A comes as one {column: value} dict per row, zeros left out, with a
+    carried block: one {key: value} dict per row; both are changed in
+    place.  Every row operation and row swap on A is also applied to the
+    carried block, which therefore ends as U times the block that went
+    in, where U*A*V = S.  The identity gives U itself, and [b_i] gives
+    U*b without U ever being formed.  Every column operation and column
+    swap is also applied to the sparse columns of V, which start as the
+    identity.  With ``m`` set, entries are reduced into [0, m) after
+    each operation.
+
+    Ids never change; ``rat``/``cat`` give the id at each position and
+    ``rpos``/``cpos`` the position of each id, so a swap costs O(1).
+    ``holders[j]`` is the set of rows with a nonzero in column j, so a
+    column operation visits only those rows.  ``least[i]`` caches
+    (|x|, column position) of row i's smallest entry and is cleared by
+    every operation that touches row i.  ``live`` holds the rows from the
+    current step on: the finished rows hold only their pivot, and no live
+    row holds a finished column.
+    """
+
+    def __init__(self, rows, ncols, carry, m=0):
+        self.rows = rows
+        self.carry = carry
+        self.m = m
+        self.v = [{j: 1} for j in range(ncols)]
+        self.rat = list(range(len(rows)))
+        self.rpos = list(range(len(rows)))
+        self.cat = list(range(ncols))
+        self.cpos = list(range(ncols))
+        self.holders = [set() for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j in row:
+                self.holders[j].add(i)
+        self.least = [None] * len(rows)
+        self.live = set(range(len(rows)))
+
+    def pivot(self):
+        """Positions (row, column) of the live entry with the smallest |x|.
+
+        Ties go to the first row, then to the first column, as a row-major
+        scan would find them; None when every live row is zero.
+        """
+        rows, least, rpos, cpos = self.rows, self.least, self.rpos, self.cpos
+        best = None
+        for i in self.live:
+            key = least[i]
+            if key is None:
+                row = rows[i]
+                if not row:
+                    continue
+                key = least[i] = min(zip(map(abs, row.values()),
+                                         map(cpos.__getitem__, row)))
+            if best is None or (key[0], rpos[i], key[1]) < best:
+                best = (key[0], rpos[i], key[1])
+        return None if best is None else best[1:]
+
+    def swap_rows(self, p, q):
+        """Swap the rows at positions p and q, with their carried rows."""
+        a, b = self.rat[p], self.rat[q]
+        self.rat[p], self.rat[q] = b, a
+        self.rpos[a], self.rpos[b] = q, p
+
+    def swap_cols(self, p, q):
+        """Swap the columns at positions p and q, with their columns of V."""
+        a, b = self.cat[p], self.cat[q]
+        self.cat[p], self.cat[q] = b, a
+        self.cpos[a], self.cpos[b] = q, p
+        for i in self.holders[a] | self.holders[b]:
+            self.least[i] = None
+
+    def add_row(self, src, dst, k):
+        """Row dst += k * row src, on A and on the carried block."""
+        m, holders, drow = self.m, self.holders, self.rows[dst]
+        for j, x in self.rows[src].items():
+            y = drow.get(j, 0) + k * x
+            if m:
+                y %= m
+            if y:
+                drow[j] = y
+                holders[j].add(dst)
+            elif j in drow:
+                del drow[j]
+                holders[j].discard(dst)
+        _add_scaled(self.carry[dst], self.carry[src], k, m)
+        self.least[dst] = None
+
+    def add_col(self, src, dst, k):
+        """Column dst += k * column src, on A and on V."""
+        m, rows, least, holding = self.m, self.rows, self.least, self.holders[dst]
+        for i in self.holders[src]:
+            row = rows[i]
+            y = row.get(dst, 0) + k * row[src]
+            if m:
+                y %= m
+            if y:
+                row[dst] = y
+                holding.add(i)
+            elif dst in row:
+                del row[dst]
+                holding.discard(i)
+            least[i] = None
+        _add_scaled(self.v[dst], self.v[src], k, m)
+
+    def result(self):
+        """The diagonal of S, the carried block in row order and V's columns."""
+        rows, rat, cat = self.rows, self.rat, self.cat
+        diag = [rows[rat[t]].get(cat[t], 0) for t in range(min(len(rat), len(cat)))]
+        return diag, [self.carry[i] for i in rat], [self.v[j] for j in cat]
+
+
+def _snf_int(rows, ncols, carry):
+    """Smith normal form U*A*V = S over Z by gcd row/column reduction.
+
+    Operation order, which fixes S, the carried block and V exactly:
+    at step t the pivot is the smallest |x| in the block of rows and
+    columns t.., ties going to the first row and then the first column;
+    it is swapped to (t, t).  Each row i > t holding column t gets
+    row_i -= (a_it // p) * row_t, then each column j > t of row t gets
+    col_j -= (a_tj // p) * col_t; while remainders are left the pivot is
+    chosen again.  Once row and column t are clear, the first row i > t
+    holding an entry not divisible by p is added to row t and the step
+    starts over; with |p| = 1 nothing can fail that test, so the scan is
+    skipped.  A negative pivot has row t and its carried row negated.
+    Keeping the smallest pivot is what keeps entries from blowing up on
+    the larger bilinearity systems.
+    """
+    e = _Elimination(rows, ncols, carry)
+    rat, cat = e.rat, e.cat
+    t = 0
+    while t < min(len(rows), ncols):
+        pos = e.pivot()
+        if pos is None:
+            break
+        if pos[0] != t:
+            e.swap_rows(pos[0], t)
+        if pos[1] != t:
+            e.swap_cols(pos[1], t)
+        pi, pj = rat[t], cat[t]
+        prow = rows[pi]
+        p = prow[pj]
+        for i in [i for i in e.holders[pj] if i != pi]:
+            e.add_row(pi, i, -(rows[i][pj] // p))
+        for j in [j for j in prow if j != pj]:
+            e.add_col(pj, j, -(prow[j] // p))
+        if len(e.holders[pj]) > 1 or len(prow) > 1:
+            continue
+        if abs(p) != 1:
+            bad = [i for i in e.live
+                   if i != pi and any(x % p for x in rows[i].values())]
+            if bad:
+                e.add_row(min(bad, key=e.rpos.__getitem__), pi, 1)
+                continue
+        if p < 0:
+            prow[pj] = -p
+            e.carry[pi] = {k: -x for k, x in e.carry[pi].items()}
+        e.live.discard(pi)
+        t += 1
+    return e.result()
+
+
+def _diagonalize_mod(rows, ncols, carry, m):
+    """U*A*V = S (mod m) with S diagonal and U, V invertible mod m.
+
+    The same gcd elimination as over Z, with every entry reduced into
+    [0, m) after each operation, so entries never grow, and no
+    divisibility chain, which the solver does not need.  Operation order:
+    the pivot is the smallest residue in the block from step t, ties
+    going to the first row and then the first column, swapped to (t, t).
+    Then passes repeat until one swaps nothing: rows i > t holding
+    column t, in order, get row_i -= (a_it // a_tt) * row_t, and a
+    nonzero remainder swaps rows i and t at once; then the columns
+    j > t of row t, in order, get col_j -= (a_tj // a_tt) * col_t, and a
+    nonzero remainder swaps columns j and t.
+    """
+    e = _Elimination(rows, ncols, carry, m)
+    rat, cat, rpos, cpos = e.rat, e.cat, e.rpos, e.cpos
+    t = 0
+    while t < min(len(rows), ncols):
+        pos = e.pivot()
+        if pos is None:
+            break
+        if pos[0] != t:
+            e.swap_rows(pos[0], t)
+        if pos[1] != t:
+            e.swap_cols(pos[1], t)
+        dirty = True
+        while dirty:
+            dirty = False
+            # the sorted positions stay valid: a swap with t only moves a
+            # row or column at a position already passed
+            pj = cat[t]
+            for i in sorted(rpos[r] for r in e.holders[pj] if rpos[r] > t):
+                pi, ri = rat[t], rat[i]
+                e.add_row(pi, ri, -(rows[ri][pj] // rows[pi][pj]))
+                if pj in rows[ri]:
+                    e.swap_rows(i, t)
+                    dirty = True
+            prow = rows[rat[t]]
+            for j in sorted(cpos[c] for c in prow if cpos[c] > t):
+                pj, cj = cat[t], cat[j]
+                e.add_col(pj, cj, -(prow[cj] // prow[pj]))
+                if cj in prow:
+                    e.swap_cols(j, t)
+                    dirty = True
+        e.live.discard(rat[t])
+        t += 1
+    return e.result()
 
 
 # ---------------------------------------------------------------------------
@@ -236,122 +475,25 @@ class SmithForm:
         return [self.s[i][i] for i in range(min(r, c))]
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _snf_int(a):
-    """Smith normal form of an integer matrix by gcd row/column reduction.
-
-    The pivot is re-selected as the smallest-magnitude nonzero entry of
-    the remaining block before every clearing pass; this keeps the
-    quotients small and is what keeps intermediate entries from blowing
-    up on the larger bilinearity systems.
-    """
-    r = len(a)
-    c = len(a[0]) if r else 0
-    s = [list(row) for row in a]
-    u = _identity(r)
-    v = _identity(c)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        # row dst += k * row src
-        srow = s[src]
-        drow = s[dst]
-        for j in range(c):
-            drow[j] += k * srow[j]
-        urow_s = u[src]
-        urow_d = u[dst]
-        for j in range(r):
-            urow_d[j] += k * urow_s[j]
-
-    def add_col(src, dst, k):
-        for row in s:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def select_pivot(t):
-        pivot = None
-        best = None
-        for i in range(t, r):
-            row = s[i]
-            for j in range(t, c):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        return pivot
-
-    t = 0
-    while t < min(r, c):
-        exhausted = False
-        while True:
-            pivot = select_pivot(t)
-            if pivot is None:
-                exhausted = True
-                break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(pi, t)
-            if pj != t:
-                swap_cols(pj, t)
-            p = s[t][t]
-            for i in range(t + 1, r):
-                if s[i][t] != 0:
-                    add_row(t, i, -(s[i][t] // p))
-            for j in range(t + 1, c):
-                if s[t][j] != 0:
-                    add_col(t, j, -(s[t][j] // p))
-            if all(s[i][t] == 0 for i in range(t + 1, r)) \
-                    and all(s[t][j] == 0 for j in range(t + 1, c)):
-                break
-        if exhausted:
-            break
-        # enforce divisibility of the remaining block by the pivot
-        fixed = True
-        for i in range(t + 1, r):
-            row = s[i]
-            for j in range(t + 1, c):
-                if row[j] % s[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    return u, s, v
-
-
 def smith_normal_form(a: Matrix) -> SmithForm:
-    """Decompose U*A*V = S; ring must be Z or Z/m (Q rejected)."""
+    """Decompose U*A*V = S; ring must be Z or Z/m (Q rejected).
+
+    U is the carried block of an elimination that starts from the identity.
+    """
     ring = a.ring
     if isinstance(ring, RationalRing):
         raise DimensionMismatchError("Smith normal form is defined over Z or Z/m here")
-    lifted_rows = [[int(x) for x in row] for row in a.entries]
-    u, s, v = _snf_int(lifted_rows)
-    as_t = lambda m: tuple(tuple(row) for row in m)
+    r, c = a.rows, a.cols
+    diag, carry, vcols = _snf_int([_sparse(row) for row in a.entries], c,
+                                   [{i: 1} for i in range(r)])
+    u = tuple(tuple(row.get(j, 0) for j in range(r)) for row in carry)
+    s = tuple(tuple(diag[i] if i == j else 0 for j in range(c)) for i in range(r))
+    v = tuple(tuple(col.get(i, 0) for col in vcols) for i in range(c))
     if isinstance(ring, IntegerRing):
-        return SmithForm(ring, as_t(u), as_t(s), as_t(v))
+        return SmithForm(ring, u, s, v)
     m = ring.m
     red = lambda mat: tuple(tuple(x % m for x in row) for row in mat)
-    lifted = SmithForm(ZZ, as_t(u), as_t(s), as_t(v))
+    lifted = SmithForm(ZZ, u, s, v)
     return SmithForm(ring, red(u), red(s), red(v), lifted=lifted)
 
 
@@ -380,19 +522,24 @@ class NoSolution:
 
 
 def solve_linear(a: Matrix, b, ring=None):
-    """Solve a*x = b over the matrix ring; returns Solution or NoSolution."""
+    """Solve a*x = b over the matrix ring; returns Solution or NoSolution.
+
+    Over Z and Z/m the deduplicated rows go to the sparse elimination
+    with [b_i] as the carried block, so U*b comes back without U.
+    """
     ring = ring or a.ring
     if ring != a.ring:
         raise DimensionMismatchError("matrix/ring mismatch")
-    rows, cols = a.rows, a.cols
-    b = [_coerce(ring, x) for x in b]
-    if len(b) != rows:
-        raise DimensionMismatchError(f"rhs length {len(b)} != {rows} rows")
+    b = list(_normaliser(ring)(b))
+    if len(b) != a.rows:
+        raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")
     if isinstance(ring, RationalRing):
         return _solve_rational(a.entries, b)
+    rows, rhs = _dedup_rows(a.entries, b)
+    carry = [{0: bb} if bb else {} for bb in rhs]
     if isinstance(ring, IntegerRing):
-        return _solve_integer([[int(x) for x in r] for r in a.entries], b)
-    return _solve_modular([[int(x) for x in r] for r in a.entries], b, ring.m)
+        return _solve_integer(*_snf_int(rows, a.cols, carry))
+    return _solve_modular(*_diagonalize_mod(rows, a.cols, carry, ring.m), ring.m)
 
 
 def _solve_rational(a, b):
@@ -437,12 +584,10 @@ def _solve_rational(a, b):
     return Solution(particular, kernel, QQ)
 
 
-def _mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
 
 def _dedup_rows(a, b):
-    """Drop exact duplicate (row, target) pairs and trivial zero rows.
+    """Sparse rows of a and their targets, without exact duplicate
+    (row, target) pairs and trivial zero rows.
 
     This never changes the solution set and keeps large systems with
     heavy row repetition (bilinearity constraints, say) tractable.
@@ -451,30 +596,37 @@ def _dedup_rows(a, b):
     rows = []
     rhs = []
     for row, bb in zip(a, b):
-        key = (tuple(row), bb)
+        key = (row, bb)
         if key in seen:
             continue
         if not any(row) and not bb:
             continue
         seen.add(key)
-        rows.append(list(row))
+        rows.append(_sparse(row))
         rhs.append(bb)
     if not rows and a:
-        rows.append(list(a[0]))
+        rows.append({})
         rhs.append(b[0])
     return rows, rhs
 
 
-def _solve_integer(a, b):
-    a, b = _dedup_rows(a, b)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u, s, v = _snf_int(a)
-    c = _mat_vec(u, b)
+def _combine(vcols, y):
+    """V*y for the square matrix V given by its sparse columns."""
+    x = [0] * len(vcols)
+    for col, yj in zip(vcols, y):
+        if yj:
+            for i, vij in col.items():
+                x[i] += vij * yj
+    return x
+
+
+def _solve_integer(diag, c, vcols):
+    """Read the solutions off S = U*A*V, with c = U*b and the columns of V."""
+    rows, cols = len(c), len(vcols)
     y = [0] * cols
     for i in range(rows):
-        si = s[i][i] if i < min(rows, cols) else 0
-        ci = c[i]
+        si = diag[i] if i < len(diag) else 0
+        ci = c[i].get(0, 0)
         if si == 0:
             if ci != 0:
                 return NoSolution({
@@ -492,93 +644,16 @@ def _solve_integer(a, b):
                     "target": ci,
                 })
             y[i] = ci // si
-    x = _mat_vec(v, y)
+    x = _combine(vcols, y)
     kernel = []
     for j in range(cols):
-        sj = s[j][j] if j < min(rows, cols) else 0
+        sj = diag[j] if j < len(diag) else 0
         if sj == 0:
-            kernel.append([v[i][j] for i in range(cols)])
+            kernel.append([vcols[j].get(i, 0) for i in range(cols)])
     return Solution(x, kernel, ZZ)
 
 
-def _diagonalize_mod(a, m):
-    """U*A*V = S (mod m) with S diagonal and U, V invertible mod m.
-
-    Same gcd elimination as the integer Smith form, but every entry is
-    reduced into [0, m) after each operation, so entries never grow.
-    No divisibility chain is enforced; the solver does not need one.
-    """
-    r = len(a)
-    c = len(a[0]) if r else 0
-    s = [[x % m for x in row] for row in a]
-    u = [[1 % m if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 % m if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def add_row(src, dst, k):
-        srow, drow = s[src], s[dst]
-        for j in range(c):
-            drow[j] = (drow[j] + k * srow[j]) % m
-        usrc, udst = u[src], u[dst]
-        for j in range(r):
-            udst[j] = (udst[j] + k * usrc[j]) % m
-
-    def add_col(src, dst, k):
-        for row in s:
-            row[dst] = (row[dst] + k * row[src]) % m
-        for row in v:
-            row[dst] = (row[dst] + k * row[src]) % m
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(r, c):
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = s[i][j]
-                if x != 0 and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        while True:
-            dirty = False
-            for i in range(t + 1, r):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(t, i, -q)
-                    if s[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, c):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(t, j, -q)
-                    if s[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(s[i][t] == 0 for i in range(t + 1, r)) \
-                    and all(s[t][j] == 0 for j in range(t + 1, c)):
-                break
-        t += 1
-    return u, s, v
-
-
-def _solve_modular(a, b, m):
+def _solve_modular(diag, c, vcols, m):
     """Solve mod m through a diagonalization computed entirely mod m.
 
     With U*A*V = S diagonal mod m, A x = b becomes the independent
@@ -587,18 +662,12 @@ def _solve_modular(a, b, m):
     of m/gcd per coordinate, plus wholly free coordinates) pulled back
     through V spans the full solution set because V is invertible mod m.
     """
-    a = [[x % m for x in row] for row in a]
-    b = [x % m for x in b]
-    a, b = _dedup_rows(a, b)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u, s, v = _diagonalize_mod(a, m)
-    c = _mat_vec(u, b)
+    rows, cols = len(c), len(vcols)
     y = [0] * cols
     for i in range(rows):
-        si = s[i][i] if i < min(rows, cols) else 0
+        si = diag[i] if i < len(diag) else 0
         g = gcd(si, m)
-        ci = c[i] % m
+        ci = c[i].get(0, 0)
         if ci % g != 0:
             return NoSolution({
                 "kind": "lifted_congruence",
@@ -611,16 +680,16 @@ def _solve_modular(a, b, m):
             mg = m // g
             y[i] = (ci // g) * pow((si // g) % mg, -1, mg) % mg
     ring = ModularRing(m)
-    particular = [x % m for x in _mat_vec(v, y)]
+    particular = [x % m for x in _combine(vcols, y)]
     kernel = []
     seen = set()
     for j in range(cols):
-        sj = s[j][j] if j < min(rows, cols) else 0
+        sj = diag[j] if j < len(diag) else 0
         g = gcd(sj, m)
         if g == 1:
             continue  # y_j is determined uniquely mod m
         step = 1 if g == m else m // g
-        vec = tuple((v[i][j] * step) % m for i in range(cols))
+        vec = tuple((vcols[j].get(i, 0) * step) % m for i in range(cols))
         if any(vec) and vec not in seen:
             seen.add(vec)
             kernel.append(list(vec))

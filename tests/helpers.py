@@ -132,3 +132,190 @@ def span_closure_mod(kernel, m, cols):
                 span.add(nxt)
                 frontier.append(nxt)
     return span
+
+
+# ---------------------------------------------------------------------------
+# Dense elimination with the full transform: the reference that the sparse
+# eliminations in burnside.rings must match operation for operation
+# ---------------------------------------------------------------------------
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense_snf_int(a):
+    """Smith normal form of an integer matrix by gcd row/column reduction.
+
+    The pivot is re-selected as the smallest-magnitude nonzero entry of
+    the remaining block before every clearing pass; this keeps the
+    quotients small and is what keeps intermediate entries from blowing
+    up on the larger bilinearity systems.
+    """
+    r = len(a)
+    c = len(a[0]) if r else 0
+    s = [list(row) for row in a]
+    u = _identity(r)
+    v = _identity(c)
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, k):
+        # row dst += k * row src
+        srow = s[src]
+        drow = s[dst]
+        for j in range(c):
+            drow[j] += k * srow[j]
+        urow_s = u[src]
+        urow_d = u[dst]
+        for j in range(r):
+            urow_d[j] += k * urow_s[j]
+
+    def add_col(src, dst, k):
+        for row in s:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def select_pivot(t):
+        pivot = None
+        best = None
+        for i in range(t, r):
+            row = s[i]
+            for j in range(t, c):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        return pivot
+
+    t = 0
+    while t < min(r, c):
+        exhausted = False
+        while True:
+            pivot = select_pivot(t)
+            if pivot is None:
+                exhausted = True
+                break
+            pi, pj = pivot
+            if pi != t:
+                swap_rows(pi, t)
+            if pj != t:
+                swap_cols(pj, t)
+            p = s[t][t]
+            for i in range(t + 1, r):
+                if s[i][t] != 0:
+                    add_row(t, i, -(s[i][t] // p))
+            for j in range(t + 1, c):
+                if s[t][j] != 0:
+                    add_col(t, j, -(s[t][j] // p))
+            if all(s[i][t] == 0 for i in range(t + 1, r)) \
+                    and all(s[t][j] == 0 for j in range(t + 1, c)):
+                break
+        if exhausted:
+            break
+        # enforce divisibility of the remaining block by the pivot
+        fixed = True
+        for i in range(t + 1, r):
+            row = s[i]
+            for j in range(t + 1, c):
+                if row[j] % s[t][t] != 0:
+                    add_row(i, t, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return u, s, v
+
+
+
+def dense_diagonalize_mod(a, m):
+    """U*A*V = S (mod m) with S diagonal and U, V invertible mod m.
+
+    Same gcd elimination as the integer Smith form, but every entry is
+    reduced into [0, m) after each operation, so entries never grow.
+    No divisibility chain is enforced; the solver does not need one.
+    """
+    r = len(a)
+    c = len(a[0]) if r else 0
+    s = [[x % m for x in row] for row in a]
+    u = [[1 % m if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 % m if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def add_row(src, dst, k):
+        srow, drow = s[src], s[dst]
+        for j in range(c):
+            drow[j] = (drow[j] + k * srow[j]) % m
+        usrc, udst = u[src], u[dst]
+        for j in range(r):
+            udst[j] = (udst[j] + k * usrc[j]) % m
+
+    def add_col(src, dst, k):
+        for row in s:
+            row[dst] = (row[dst] + k * row[src]) % m
+        for row in v:
+            row[dst] = (row[dst] + k * row[src]) % m
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(r, c):
+        pivot = None
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = s[i][j]
+                if x != 0 and (best is None or x < best):
+                    best = x
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            swap_rows(pi, t)
+        if pj != t:
+            swap_cols(pj, t)
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                if s[i][t] != 0:
+                    q = s[i][t] // s[t][t]
+                    add_row(t, i, -q)
+                    if s[i][t] != 0:
+                        swap_rows(i, t)
+                        dirty = True
+            for j in range(t + 1, c):
+                if s[t][j] != 0:
+                    q = s[t][j] // s[t][t]
+                    add_col(t, j, -q)
+                    if s[t][j] != 0:
+                        swap_cols(j, t)
+                        dirty = True
+            if not dirty and all(s[i][t] == 0 for i in range(t + 1, r)) \
+                    and all(s[t][j] == 0 for j in range(t + 1, c)):
+                break
+        t += 1
+    return u, s, v
+

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from burnside.errors import DimensionMismatchError, NotInvertibleError, ParseError
+from burnside.groups import build_group
 from burnside.rings import (
     QQ,
     ZZ,
@@ -11,12 +12,43 @@ from burnside.rings import (
     Solution,
     Zmod,
     is_unit,
+    _dedup_rows,
+    _diagonalize_mod,
+    _snf_int,
+    _sparse,
     ring_from_spec,
     smith_normal_form,
     solve_linear,
 )
+from burnside.separability import casimir_linear_system, leibniz_system
 
-from helpers import bareiss_det, enumerate_modular_solutions, mat_mul, span_closure_mod
+from helpers import (
+    bareiss_det,
+    dense_diagonalize_mod,
+    dense_snf_int,
+    enumerate_modular_solutions,
+    mat_mul,
+    span_closure_mod,
+)
+
+
+def _eliminate(a, m=0, carry=None):
+    """Sparse elimination of the dense matrix a: (carried, s, v) as dense lists.
+
+    The carried block defaults to the identity, which comes back as U.
+    """
+    r = len(a)
+    c = len(a[0]) if r else 0
+    if carry is None:
+        carry = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    width = len(carry[0]) if carry else 0
+    rows = [_sparse(row) for row in a]
+    block = [_sparse(row) for row in carry]
+    diag, block, vcols = (_diagonalize_mod(rows, c, block, m) if m
+                          else _snf_int(rows, c, block))
+    s = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+    v = [[col.get(i, 0) for col in vcols] for i in range(c)]
+    return [[row.get(j, 0) for j in range(width)] for row in block], s, v
 
 
 def test_ring_from_spec():
@@ -177,15 +209,13 @@ def test_solve_modular_matches_enumeration():
 def test_modular_diagonalization_properties():
     from math import gcd
 
-    from burnside.rings import _diagonalize_mod
-
     rng = random.Random(424242)
     for _ in range(50):
         m = rng.randint(2, 12)
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = [[rng.randint(0, m - 1) for _ in range(cols)] for _ in range(rows)]
-        u, s, v = _diagonalize_mod(a, m)
+        u, s, v = _eliminate(a, m)
         prod = [[x % m for x in row] for row in mat_mul(mat_mul(u, a), v)]
         assert prod == s
         for i in range(rows):
@@ -194,3 +224,63 @@ def test_modular_diagonalization_properties():
                     assert s[i][j] == 0
         assert gcd(bareiss_det([list(r) for r in u]) % m, m) == 1
         assert gcd(bareiss_det([list(r) for r in v]) % m, m) == 1
+
+
+def _random_shapes(rng):
+    """Shapes with zero rows and columns, 1 x n, n x 1 and rows < cols."""
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 6), (3, 7), (6, 6), (9, 4)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(33)]
+    return shapes
+
+
+def _random_matrix(rng, rows, cols, entry):
+    a = [[entry() if rng.random() < 0.6 else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if rng.random() < 0.3:
+        a[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def _assert_matches_dense(a, b, m=0):
+    u, s, v = dense_diagonalize_mod(a, m) if m else dense_snf_int(a)
+    assert _eliminate(a, m) == (u, s, v)
+    ub = [sum(x * y for x, y in zip(row, b)) for row in u]
+    if m:
+        ub = [x % m for x in ub]
+    got, s_b, v_b = _eliminate(a, m, [[x] for x in b])
+    assert (s_b, v_b) == (s, v)
+    assert [row[0] for row in got] == ub
+
+
+def test_sparse_elimination_matches_dense_oracle_over_z():
+    rng = random.Random(60601)
+    for rows, cols in _random_shapes(rng):
+        a = _random_matrix(rng, rows, cols, lambda: rng.randint(-9, 9))
+        b = [rng.randint(-9, 9) for _ in range(rows)]
+        _assert_matches_dense(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 9, 12])
+def test_sparse_elimination_matches_dense_oracle_mod_m(m):
+    rng = random.Random(60602 + m)
+    for rows, cols in _random_shapes(rng):
+        a = _random_matrix(rng, rows, cols, lambda: rng.randrange(m))
+        b = [rng.randrange(m) for _ in range(rows)]
+        _assert_matches_dense(a, b, m)
+
+
+@pytest.mark.parametrize("spec,ring", [("S3", ZZ), ("S3", Zmod(6)), ("D8", Zmod(4))])
+def test_sparse_elimination_matches_dense_oracle_on_systems(spec, ring):
+    g = build_group(spec)
+    m = getattr(ring, "m", 0)
+    matrix, rhs = casimir_linear_system(g, ring)
+    leibniz = leibniz_system(g, ring)
+    for entries, b in ((matrix.entries, rhs),
+                       (leibniz.entries, [0] * leibniz.rows)):
+        rows, b = _dedup_rows(entries, b)
+        a = [[row.get(j, 0) for j in range(matrix.cols)] for row in rows]
+        _assert_matches_dense(a, b, m)

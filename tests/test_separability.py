@@ -191,6 +191,22 @@ def _layout_digest(x):
     return hashlib.sha256(json.dumps(x).encode()).hexdigest()[:16]
 
 
+def test_solver_outputs_are_pinned():
+    # certificates and kernel spanning sets, taken before the elimination
+    # went sparse: each depends on every pivot, swap and quotient of the solve
+    for spec, ring, digest in (("S4", ZZ, "94015416c8e76992"),
+                               ("S4", Zmod(6), "698d67d2c37ed261")):
+        verdict = ring_separability(build_group(spec), ring)
+        assert _layout_digest(verdict.obstruction["certificate"]) == digest, \
+            (spec, ring.spec)
+    for spec, ring, digest in (("S4", ZZ, "4f53cda18c2baa0c"),
+                               ("S4", Zmod(4), "d4a51d277e4bc40d"),
+                               ("prod(C2,prod(C2,C2))", Zmod(2), "02c37cbe2d5cd4ed")):
+        matrix = leibniz_system(build_group(spec), ring)
+        res = solve_linear(matrix, [ring.zero] * matrix.rows)
+        assert _layout_digest(res.kernel) == digest, (spec, ring.spec)
+
+
 def test_functor_separability_examples():
     s3 = build_group("S3")
     v = functor_separability(s3, QQ)
