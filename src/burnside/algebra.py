@@ -8,12 +8,15 @@ integers (residues as they are, rationals over one common denominator),
 map them through the sparse rows of the table, multiply pointwise, and
 come back by exact back-substitution through the same rows, from the
 last class down.  A nonzero remainder there would mean a ghost vector
-outside B(G) and is reported as an internal inconsistency.  The table itself comes from the
-subgroup lattice, which is the only per-group cache, so ``multiply``,
-``mult_matrix``, ``structure_constants``, ``mark`` and ``marks_vector``
-share one integer kernel and every other product (tensor actions,
-Casimir and Leibniz systems, inversion) is read from them.  The primitive
-idempotents (for invertible group order) and unit testing live here too.
+outside B(G) and is reported as an internal inconsistency.  The table
+itself comes from the subgroup lattice, which is the only per-group
+cache, so ``multiply``, ``mult_matrix``, ``structure_constants``,
+``mark`` and ``marks_vector`` share one integer kernel and every other
+product (tensor actions, Casimir and Leibniz systems, inversion) is
+read from it.  ``lift`` and ``lower`` are the one way into and out of
+the integers, the tensor code's included; a value that is not integral
+over Z or Z/m is refused, never truncated.  The primitive idempotents
+(for invertible group order) and unit testing live here too.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
 units (Dress's description of the prime ideals of B(G)), so ``invert``
@@ -65,30 +68,48 @@ def table_of_marks(g: Group) -> MarksTable:
 
 # -- the integer ghost-ring kernel ---------------------------------------------
 
+def lift(ring, values) -> tuple:
+    """Ring values as integers over one common denominator: (ints, d).
+
+    Integers and residues mod m are taken as they are (d = 1) and
+    rationals over the least common denominator of all of them.  A value
+    that is not integral over Z or Z/m raises RingMismatchError rather
+    than being truncated.
+    """
+    values = list(values)
+    if ring == QQ:
+        d = lcm(*(c.denominator for c in values))
+        return [c.numerator * (d // c.denominator) for c in values], d
+    if {*map(type, values)} <= {int}:  # the common case, at C speed
+        return values, 1
+    if any(c.denominator != 1 for c in values):
+        raise RingMismatchError(f"non-integral coefficient over {ring.spec}")
+    return [c.numerator for c in values], 1
+
+
+def lower(ring, values, d) -> list:
+    """Integers over the denominator d back in the ring."""
+    if ring == QQ:
+        return [Fraction(v, d) for v in values]
+    return list(map(ring.from_int, values))
+
+
 def _ghost(a) -> tuple:
     """The marks of a as integers over one common denominator: (marks, d).
 
-    Integers and residues mod m are taken as they are and rationals over
-    the least common denominator of a's coefficients; the marks are read
-    through the sparse rows of the table.
+    The coefficients are lifted once and read through the sparse rows of
+    the table.
     """
     lat = subgroup_lattice(a.group)
-    d = lcm(*(c.denominator for c in a.coeffs.values())) if a.ring == QQ else 1
+    ints, d = lift(a.ring, a.coeffs.values())
     v = [0] * lat.class_count
-    for i, c in a.coeffs.items():
-        c = int(c * d)
+    for i, c in zip(a.coeffs, ints):
         for j, m in lat.marks_rows[i]:
             v[j] += c * m
     return v, d
 
 
-def _lower(ring, values, d) -> list:
-    """Integers over the denominator d back in the ring."""
-    make = (lambda v: Fraction(v, d)) if ring == QQ else ring.from_int
-    return [make(v) for v in values]
-
-
-def _unghost(lat, v) -> list:
+def unghost(lat, v) -> list:
     """The integer combination with marks v, by exact back-substitution.
 
     Row i of the table is the ghost of [G/H_i] and ends on its diagonal,
@@ -110,7 +131,7 @@ def _unghost(lat, v) -> list:
 def structure_constants(g: Group, i: int, j: int) -> dict:
     """Coefficients of [G/H_i] * [G/H_j] on the class basis."""
     lat = subgroup_lattice(g)
-    x = _unghost(lat, [p * q for p, q in zip(lat.marks[i], lat.marks[j])])
+    x = unghost(lat, [p * q for p, q in zip(lat.marks[i], lat.marks[j])])
     return {l: c for l, c in enumerate(x) if c}
 
 
@@ -223,18 +244,23 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Bilinear extension of the product of transitive G-sets."""
     a._compat(b)
     (va, da), (vb, db) = _ghost(a), _ghost(b)
-    x = _unghost(subgroup_lattice(a.group), [p * q for p, q in zip(va, vb)])
+    x = unghost(subgroup_lattice(a.group), [p * q for p, q in zip(va, vb)])
     return BurnsideElement(a.group, a.ring,
-                           dict(enumerate(_lower(a.ring, x, da * db))))
+                           dict(enumerate(lower(a.ring, x, da * db))))
+
+
+def int_mult_columns(a: BurnsideElement) -> tuple:
+    """Multiplication by a in integers: (cols, d), cols[j] = d * a*[G/H_j]."""
+    lat = subgroup_lattice(a.group)
+    va, d = _ghost(a)
+    return [unghost(lat, [p * q for p, q in zip(va, row)])
+            for row in lat.marks], d
 
 
 def mult_matrix(a: BurnsideElement):
     """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
-    lat = subgroup_lattice(a.group)
-    va, d = _ghost(a)
-    cols = [_lower(a.ring, _unghost(lat, [p * q for p, q in zip(va, row)]), d)
-            for row in lat.marks]
-    return [list(row) for row in zip(*cols)]
+    cols, d = int_mult_columns(a)
+    return [lower(a.ring, row, d) for row in zip(*cols)]
 
 
 def mark(a: BurnsideElement, label: str):
@@ -245,7 +271,7 @@ def mark(a: BurnsideElement, label: str):
 
 def marks_vector(a: BurnsideElement):
     """All marks of a, in class order."""
-    return _lower(a.ring, *_ghost(a))
+    return lower(a.ring, *_ghost(a))
 
 
 def idempotent(g: Group, label: str, ring) -> BurnsideElement:

@@ -16,7 +16,18 @@ Three decision procedures, each with a constructive certificate:
   the Leibniz constraints.
 
 Every product here is read from ``algebra``: ``multiply``, and
-``mult_matrix`` of an element or of each basis class.
+``mult_matrix`` of an element or of each basis class.  The tensor code
+(both tensor actions, the product map mu, the Casimir element and its
+check) works in integers on the same lift as the ghost-ring kernel:
+coefficients become integers over one common denominator (residues and
+integers as they are), are combined through the sparse integer rows of
+the multiplication matrices (mu through the table of marks), and are
+lowered back into the ring once.  ``verify_casimir`` checks a rational u
+as D*u over Z, D the lcm of u's denominators: D*u is central with
+mu(D*u) = D*[G/G] exactly when u is central with mu(u) = [G/G], since
+both tensor actions and mu are linear.  Over Z/m the integer results are
+reduced mod m.  Centrality is checked on every basis class, then mu
+(DeMeyer and Ingraham, Separable Algebras over Commutative Rings, 1971).
 
 The commutant computation pins down which elements over G x G commute
 with the identity biset under the two one-sided diagonal products; the
@@ -32,10 +43,14 @@ from .algebra import (
     NotInvertible,
     identity_element,
     idempotent_system,
+    int_mult_columns,
     invert,
+    lift,
+    lower,
     mult_matrix,
     multiply,
     transitive_of_class,
+    unghost,
 )
 from .bisets import gamma
 from .errors import (
@@ -55,7 +70,7 @@ from .groups import (
     subgroups_conjugate,
 )
 from .gsets import induce_along, orbits, stabilizer
-from .rings import ZZ, Matrix, Solution, solve_linear
+from .rings import QQ, ZZ, Matrix, Solution, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -109,86 +124,110 @@ def _basis_mult_matrices(g: Group):
     return [mult_matrix(BurnsideElement.basis(g, ZZ, a)) for a in range(n)]
 
 
-def tensor_act_left(x: BurnsideElement, u: TensorElement) -> TensorElement:
-    """Multiply the left tensor factor by x."""
+def _compat(x: BurnsideElement, u: TensorElement):
     if x.group != u.group:
         raise GroupMismatchError("tensor action over a different group")
     if x.ring != u.ring:
         raise RingMismatchError("tensor action over a different ring")
-    ring = u.ring
-    lm = mult_matrix(x)
-    n = len(u.matrix)
-    out = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            c = lm[i][k]
-            if ring.is_zero(c):
-                continue
-            row = u.matrix[k]
-            for j in range(n):
-                out[i][j] = ring.add(out[i][j], ring.mul(c, row[j]))
-    return TensorElement(u.group, ring, out)
+
+
+def _lift_rows(ring, matrix) -> tuple:
+    """A square matrix over the ring as integer rows over one common
+    denominator: (rows, d)."""
+    n = len(matrix)
+    ints, d = lift(ring, (c for row in matrix for c in row))
+    return [ints[i * n:(i + 1) * n] for i in range(n)], d
+
+
+def _combine(coeffs, rows):
+    """The integer row sum of c * rows[k] over the nonzero c = coeffs[k]."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [s + c * v for s, v in zip(acc, row)]
+    return acc
+
+
+def tensor_act_left(x: BurnsideElement, u: TensorElement) -> TensorElement:
+    """Multiply the left tensor factor by x: the matrix L_x * u."""
+    _compat(x, u)
+    cols, dx = int_mult_columns(x)
+    rows, du = _lift_rows(u.ring, u.matrix)
+    out = [_combine(lrow, rows) for lrow in zip(*cols)]
+    return TensorElement(u.group, u.ring,
+                         [lower(u.ring, row, dx * du) for row in out])
 
 
 def tensor_act_right(u: TensorElement, x: BurnsideElement) -> TensorElement:
-    """Multiply the right tensor factor by x."""
-    if x.group != u.group:
-        raise GroupMismatchError("tensor action over a different group")
-    if x.ring != u.ring:
-        raise RingMismatchError("tensor action over a different ring")
-    ring = u.ring
-    lm = mult_matrix(x)
-    n = len(u.matrix)
-    out = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        urow = u.matrix[i]
-        for k in range(n):
-            c = urow[k]
-            if ring.is_zero(c):
-                continue
-            for j in range(n):
-                out[i][j] = ring.add(out[i][j], ring.mul(c, lm[j][k]))
-    return TensorElement(u.group, ring, out)
+    """Multiply the right tensor factor by x: the matrix u * L_x^T.
+
+    Its transpose L_x * u^T is formed, so that, as on the left, each row
+    combines only the rows picked by the sparse integer rows of L_x.
+    """
+    _compat(x, u)
+    cols, dx = int_mult_columns(x)
+    rows, du = _lift_rows(u.ring, u.matrix)
+    u_cols = list(zip(*rows))
+    out_t = [_combine(lrow, u_cols) for lrow in zip(*cols)]
+    return TensorElement(u.group, u.ring,
+                         [lower(u.ring, row, dx * du) for row in zip(*out_t)])
 
 
 def tensor_mu(u: TensorElement) -> BurnsideElement:
-    """The product map: sum of u[H][K] * [G/H]*[G/K]."""
-    g, ring = u.group, u.ring
-    ls = _basis_mult_matrices(g)
-    n = len(u.matrix)
-    out = [ring.zero] * n
-    for i, urow in enumerate(u.matrix):
-        for l, lrow in enumerate(ls[i]):
-            for j, mult in enumerate(lrow):
-                if mult:
-                    out[l] = ring.add(out[l],
-                                      ring.mul(urow[j], ring.from_int(mult)))
-    return BurnsideElement(g, ring, dict(enumerate(out)))
+    """The product map: sum of u[H][K] * [G/H]*[G/K], through the ghost ring.
+
+    The mark of mu(u) at K is the sum of u[H][H'] times the marks of
+    [G/H] and [G/H'] at K, so it is read off u * M, M the table of marks.
+    """
+    g = u.group
+    lat = subgroup_lattice(g)
+    rows, d = _lift_rows(u.ring, u.matrix)
+    ghost = [0] * lat.class_count
+    for urow, mrow in zip(rows, lat.marks_rows):
+        um = _combine(urow, lat.marks)  # row H of u * M
+        for k, m in mrow:
+            ghost[k] += m * um[k]
+    return BurnsideElement(g, u.ring,
+                           dict(enumerate(lower(u.ring, unghost(lat, ghost), d))))
 
 
 def casimir_from_idempotents(g: Group, ring) -> TensorElement:
-    """The separability element: sum over classes of e_H (x) e_H."""
+    """The separability element: sum over classes of e_H (x) e_H.
+
+    With E the matrix whose row H holds the coefficients of e_H, this is
+    E^T E, formed from E in integers over the common denominator d.
+    """
     if not ring.is_unit(ring.from_int(g.order)):
         raise NotInvertibleError(f"|G| = {g.order} is not a unit in {ring.spec}")
     idems = idempotent_system(g, ring)
     n = len(idems)
-    out = [[ring.zero] * n for _ in range(n)]
-    for e in idems:
-        for i, ci in e.coeffs.items():
-            for j, cj in e.coeffs.items():
-                out[i][j] = ring.add(out[i][j], ring.mul(ci, cj))
-    return TensorElement(g, ring, out)
+    rows, d = _lift_rows(ring, [[e.coeffs.get(j, ring.zero) for j in range(n)]
+                                for e in idems])
+    out = [_combine(col, rows) for col in zip(*rows)]
+    return TensorElement(g, ring, [lower(ring, row, d * d) for row in out])
 
 
 def verify_casimir(u: TensorElement) -> bool:
-    """Centrality on every basis element plus mu(u) = [G/G]."""
-    g, ring = u.group, u.ring
+    """Centrality on every basis element plus mu(u) = [G/G].
+
+    Over Q the check runs on D*u over Z, D the common denominator of u:
+    scaling by D commutes with both tensor actions, so D*u is central with
+    mu(D*u) = D*[G/G] exactly when u is central with mu(u) = [G/G].  Over
+    Z and Z/m the integer products are reduced in u's own ring.
+    """
+    g = u.group
     n = subgroup_lattice(g).class_count
+    if u.ring == QQ:
+        rows, d = _lift_rows(u.ring, u.matrix)
+        u = TensorElement(g, ZZ, rows)
+    else:
+        d = 1
+    ring = u.ring
     for i in range(n):
         x = BurnsideElement.basis(g, ring, i)
         if tensor_act_left(x, u) != tensor_act_right(u, x):
             return False
-    return tensor_mu(u) == identity_element(g, ring)
+    return tensor_mu(u) == identity_element(g, ring).scale(ring.from_int(d))
 
 
 # ---------------------------------------------------------------------------

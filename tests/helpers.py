@@ -8,6 +8,12 @@ other.
 from fractions import Fraction
 from itertools import combinations
 
+from burnside.algebra import BurnsideElement, identity_element, mult_matrix
+from burnside.errors import GroupMismatchError, RingMismatchError
+from burnside.groups import Group, subgroup_lattice
+from burnside.rings import ZZ
+from burnside.separability import TensorElement
+
 
 def assoc_holds_everywhere(g):
     """Full O(n^3) associativity check (the library only checks generators)."""
@@ -319,3 +325,85 @@ def dense_diagonalize_mod(a, m):
         t += 1
     return u, s, v
 
+
+# ---------------------------------------------------------------------------
+# Ring-generic tensor code: the reference that the integer tensor actions,
+# product map and Casimir check in burnside.separability must match.  Every
+# coefficient is combined with the ring's own add and mul (Fractions over Q).
+# ---------------------------------------------------------------------------
+
+def _fraction_basis_mult_matrices(g: Group):
+    """Integer multiplication matrices of the basis classes.
+
+    ls[a][l][j] is the coefficient of [G/H_l] in [G/H_a][G/H_j].
+    """
+    n = subgroup_lattice(g).class_count
+    return [mult_matrix(BurnsideElement.basis(g, ZZ, a)) for a in range(n)]
+
+
+def fraction_tensor_act_left(x: BurnsideElement, u: TensorElement) -> TensorElement:
+    """Multiply the left tensor factor by x."""
+    if x.group != u.group:
+        raise GroupMismatchError("tensor action over a different group")
+    if x.ring != u.ring:
+        raise RingMismatchError("tensor action over a different ring")
+    ring = u.ring
+    lm = mult_matrix(x)
+    n = len(u.matrix)
+    out = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            c = lm[i][k]
+            if ring.is_zero(c):
+                continue
+            row = u.matrix[k]
+            for j in range(n):
+                out[i][j] = ring.add(out[i][j], ring.mul(c, row[j]))
+    return TensorElement(u.group, ring, out)
+
+
+def fraction_tensor_act_right(u: TensorElement, x: BurnsideElement) -> TensorElement:
+    """Multiply the right tensor factor by x."""
+    if x.group != u.group:
+        raise GroupMismatchError("tensor action over a different group")
+    if x.ring != u.ring:
+        raise RingMismatchError("tensor action over a different ring")
+    ring = u.ring
+    lm = mult_matrix(x)
+    n = len(u.matrix)
+    out = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        urow = u.matrix[i]
+        for k in range(n):
+            c = urow[k]
+            if ring.is_zero(c):
+                continue
+            for j in range(n):
+                out[i][j] = ring.add(out[i][j], ring.mul(c, lm[j][k]))
+    return TensorElement(u.group, ring, out)
+
+
+def fraction_tensor_mu(u: TensorElement) -> BurnsideElement:
+    """The product map: sum of u[H][K] * [G/H]*[G/K]."""
+    g, ring = u.group, u.ring
+    ls = _fraction_basis_mult_matrices(g)
+    n = len(u.matrix)
+    out = [ring.zero] * n
+    for i, urow in enumerate(u.matrix):
+        for l, lrow in enumerate(ls[i]):
+            for j, mult in enumerate(lrow):
+                if mult:
+                    out[l] = ring.add(out[l],
+                                      ring.mul(urow[j], ring.from_int(mult)))
+    return BurnsideElement(g, ring, dict(enumerate(out)))
+
+
+def fraction_verify_casimir(u: TensorElement) -> bool:
+    """Centrality on every basis element plus mu(u) = [G/G]."""
+    g, ring = u.group, u.ring
+    n = subgroup_lattice(g).class_count
+    for i in range(n):
+        x = BurnsideElement.basis(g, ring, i)
+        if fraction_tensor_act_left(x, u) != fraction_tensor_act_right(u, x):
+            return False
+    return fraction_tensor_mu(u) == identity_element(g, ring)

@@ -234,3 +234,11 @@ def test_criterion_8_oracle_equivalence():
                    for off in span}
             assert got == expected
     _report(8, "structure constants and modular solver oracles", t0, 30)
+
+
+def test_casimir_witness_of_c2_to_the_fourth_over_q():
+    """(C2)^4 has 67 subgroup classes; its witness is checked in integers."""
+    g = build_group("prod(C2,prod(C2,prod(C2,C2)))")
+    verdict = ring_separability(g, QQ)
+    assert verdict.separable
+    assert verify_casimir(verdict.witness)

@@ -105,6 +105,20 @@ def test_multiply_mismatch_errors():
         multiply(a, c)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=lambda r: r.spec)
+def test_non_integral_coefficient_is_refused_not_truncated(ring):
+    s3 = build_group("S3")
+    one = identity_element(s3, ring)
+    half = BurnsideElement(s3, ring, {0: Fraction(1, 2)})
+    for op in (lambda: multiply(half, one), lambda: multiply(one, half),
+               lambda: mult_matrix(half), lambda: marks_vector(half)):
+        with pytest.raises(RingMismatchError):
+            op()
+    # an integral Fraction is the integer it equals
+    two = BurnsideElement(s3, ring, {0: Fraction(4, 2)})
+    assert multiply(two, one) == BurnsideElement.basis(s3, ring, 0).scale(2)
+
+
 @pytest.mark.parametrize("spec", TEST_SPECS)
 def test_multiplication_commutative_associative(spec):
     g = build_group(spec)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +13,7 @@ from burnside.algebra import (
     invert,
     multiply,
 )
-from burnside.errors import NotInvertibleError, ResourceBoundError
+from burnside.errors import NotInvertibleError, ResourceBoundError, RingMismatchError
 from burnside.groups import build_group, squared, subgroup_lattice
 from burnside.gsets import induce_along, iso_equal
 from burnside.rings import QQ, ZZ, Solution, Zmod, solve_linear
@@ -35,6 +36,13 @@ from burnside.separability import (
 )
 
 from burnside.bisets import product_of
+
+from helpers import (
+    fraction_tensor_act_left,
+    fraction_tensor_act_right,
+    fraction_tensor_mu,
+    fraction_verify_casimir,
+)
 
 
 def _tensor_basis(g, ring, i, j):
@@ -360,3 +368,68 @@ def test_leibniz_system_shape():
     assert _layout_digest(m.entries) == "d4e94d749797e02d"
     assert _layout_digest(leibniz_system(build_group("S4"), ZZ).entries) \
         == "1c91d6170fdd957f"
+
+
+# -- the integer tensor code against the ring-generic Fraction oracle ---------
+
+def _random_value(rnd, ring):
+    if ring == QQ:  # mixed denominators, so the lift has a real lcm
+        return Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 3, 4, 5, 6, 7, 9, 10]))
+    return ring.from_int(rnd.randrange(ring.m))
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "prod(C2,C2)"])
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(6)],
+                         ids=lambda r: r.spec)
+def test_tensor_code_matches_fraction_oracle_on_random_tensors(spec, ring):
+    g = build_group(spec)
+    n = subgroup_lattice(g).class_count
+    rnd = random.Random(n * 100 + getattr(ring, "m", 0))
+    for _ in range(4):
+        u = TensorElement(g, ring, [[_random_value(rnd, ring) for _ in range(n)]
+                                    for _ in range(n)])
+        x = BurnsideElement(g, ring, {i: _random_value(rnd, ring) for i in range(n)})
+        assert tensor_act_left(x, u) == fraction_tensor_act_left(x, u)
+        assert tensor_act_right(u, x) == fraction_tensor_act_right(u, x)
+        assert tensor_mu(u) == fraction_tensor_mu(u)
+        assert verify_casimir(u) == fraction_verify_casimir(u)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "S4", "prod(C2,C2)"])
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7)], ids=lambda r: r.spec)
+def test_verify_casimir_matches_fraction_oracle_on_witnesses(spec, ring):
+    g = build_group(spec)
+    n = subgroup_lattice(g).class_count
+    u = casimir_from_idempotents(g, ring)
+    expected = [[ring.zero] * n for _ in range(n)]  # sum of e_H (x) e_H
+    for e in idempotent_system(g, ring):
+        for i, ci in e.coeffs.items():
+            for j, cj in e.coeffs.items():
+                expected[i][j] = ring.add(expected[i][j], ring.mul(ci, cj))
+    assert u == TensorElement(g, ring, expected)
+
+    step = Fraction(1, 11) if ring == QQ else ring.one
+    cases = [(u, True)]
+    for i, j in [(0, 0), (n // 2, n - 1), (n - 1, n - 1)]:
+        bumped = [list(row) for row in u.matrix]
+        bumped[i][j] = ring.add(bumped[i][j], step)
+        cases.append((TensorElement(g, ring, bumped), False))
+    two = ring.from_int(2)  # still central, but mu(2u) = 2 [G/G]
+    cases.append((TensorElement(g, ring, [[ring.mul(two, c) for c in row]
+                                          for row in u.matrix]), False))
+    for t, verdict in cases:
+        assert verify_casimir(t) == fraction_verify_casimir(t) == verdict
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=lambda r: r.spec)
+def test_tensor_code_refuses_non_integral_entries(ring):
+    s3 = build_group("S3")
+    n = subgroup_lattice(s3).class_count
+    m = [[ring.zero] * n for _ in range(n)]
+    m[0][1] = Fraction(1, 2)
+    u = TensorElement(s3, ring, m)
+    one = identity_element(s3, ring)
+    for op in (lambda: tensor_act_left(one, u), lambda: tensor_act_right(u, one),
+               lambda: tensor_mu(u), lambda: verify_casimir(u)):
+        with pytest.raises(RingMismatchError):
+            op()
