@@ -210,19 +210,14 @@ def casimir_from_idempotents(g: Group, ring) -> TensorElement:
 def verify_casimir(u: TensorElement) -> bool:
     """Centrality on every basis element plus mu(u) = [G/G].
 
-    Over Q the check runs on D*u over Z, D the common denominator of u:
-    scaling by D commutes with both tensor actions, so D*u is central with
-    mu(D*u) = D*[G/G] exactly when u is central with mu(u) = [G/G].  Over
-    Z and Z/m the integer products are reduced in u's own ring.
+    Over Q the check runs on D*u over Z, D the common denominator of u
+    (D = 1 over Z and Z/m, where the results are reduced in u's ring).
     """
     g = u.group
     n = subgroup_lattice(g).class_count
-    if u.ring == QQ:
-        rows, d = _lift_rows(u.ring, u.matrix)
-        u = TensorElement(g, ZZ, rows)
-    else:
-        d = 1
-    ring = u.ring
+    ring = ZZ if u.ring == QQ else u.ring
+    rows, d = _lift_rows(u.ring, u.matrix)
+    u = TensorElement(g, ring, rows)
     for i in range(n):
         x = BurnsideElement.basis(g, ring, i)
         if tensor_act_left(x, u) != tensor_act_right(u, x):
