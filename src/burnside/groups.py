@@ -9,13 +9,14 @@ subgroups, conjugacy classes, Moebius values and the table of marks.
 Subgroups are found by cyclic extension over bitmasks: one
 representative per conjugacy class is joined with cyclic subgroups of
 prime-power order, and each new subgroup brings in its conjugation orbit
-(Neubueser's method, as in Pfeiffer 1997).  Moebius values and the table
-of marks are computed on first use, the marks from the class member
-masks with no G-set built.  Lattices live in one bounded LRU keyed by
-structural equality, so independently built copies of a group share
-one record; hits, inserts and evictions all happen under the module
-lock.  Everything is immutable after construction and all operations
-are pure, so objects are safe to share across threads.
+(Neubueser's method, as in Pfeiffer 1997).  Moebius values are computed
+one row mu(K, -) at a time, when a K is first asked for, and the table
+of marks on first use, from the class member masks with no G-set built.
+Lattices live in one bounded LRU keyed by structural equality, so
+independently built copies of a group share one record; hits, inserts
+and evictions all happen under the module lock.  Everything is
+immutable after construction and all operations are pure, so objects
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -364,6 +365,7 @@ class SubgroupLattice:
         self.class_of = class_of
         self._index_of = {s.members: i for i, s in enumerate(subgroups)}
         self._label_to_class = {c.label: i for i, c in enumerate(classes)}
+        self._moebius_rows = {}  # subgroup index k -> {h: mu(K, H)}
 
     @property
     def class_count(self):
@@ -400,22 +402,28 @@ class SubgroupLattice:
         return self.subgroups[i].mask & self.subgroups[j].mask == self.subgroups[i].mask
 
     def moebius_by_index(self, ki, hi):
-        if (ki, hi) not in self._moebius:
+        row = self._moebius_rows.get(ki)
+        if row is None:
+            row = self._moebius_rows.setdefault(ki, self._moebius_row(ki))
+        if hi not in row:
             raise NotContainedError("moebius(K,H) requires K <= H")
-        return self._moebius[(ki, hi)]
+        return row[hi]
 
-    @functools.cached_property
-    def _moebius(self):
-        """Moebius values of the subgroup poset for every pair K <= H."""
+    def _moebius_row(self, k):
+        """Moebius values mu(K, H) for every H >= K, K the subgroup at k.
+
+        mu(K, K) = 1 and mu(K, H) = -sum of mu(K, L) over K <= L < H; the
+        subgroups are sorted by order, so each L comes before H.
+        """
         masks = [s.mask for s in self.subgroups]
-        moebius = {}
-        for k, mk in enumerate(masks):
-            sups = [h for h, mh in enumerate(masks) if mk & mh == mk]  # by order
-            for j, h in enumerate(sups):
-                mh = masks[h]
-                moebius[(k, h)] = 1 if h == k else -sum(
-                    moebius[(k, l)] for l in sups[:j] if masks[l] & mh == masks[l])
-        return moebius
+        mk = masks[k]
+        sups = [h for h in range(k, len(masks)) if mk & masks[h] == mk]
+        row = {}
+        for j, h in enumerate(sups):
+            mh = masks[h]
+            row[h] = 1 if h == k else -sum(
+                row[l] for l in sups[:j] if masks[l] & mh == masks[l])
+        return row
 
     @functools.cached_property
     def marks(self):
@@ -627,10 +635,6 @@ def subgroups_conjugate(g: Group, a: Subgroup, b: Subgroup) -> bool:
         if mask == target:
             return True
     return False
-
-
-def subgroup_conjugacy_fingerprint(g: Group, s: Subgroup):
-    return (s.order, tuple(sorted(g.element_order(x) for x in s.members)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ solutions are exactly the span of the diagonal classes [GG/Delta(L)].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .algebra import (
     BurnsideElement,
@@ -49,7 +50,6 @@ from .algebra import (
     lower,
     mult_matrix,
     multiply,
-    transitive_of_class,
     unghost,
 )
 from .bisets import gamma
@@ -61,15 +61,12 @@ from .errors import (
     RingMismatchError,
 )
 from .groups import (
+    MAX_GROUP_ORDER,
     Group,
     centralizer_of_subgroup,
-    cubed,
     squared,
-    subgroup_conjugacy_fingerprint,
     subgroup_lattice,
-    subgroups_conjugate,
 )
-from .gsets import induce_along, orbits, stabilizer
 from .rings import QQ, ZZ, Matrix, Solution, solve_linear
 
 
@@ -387,59 +384,114 @@ def _embed_d13(g: Group):
     return [d * n * n + c * n + d for c in g.elements() for d in g.elements()]
 
 
-def commutant_basis(g: Group, ring, max_base_order: int = 6) -> CommutantResult:
+def _triples(g: Group, images, members):
+    """The image of a subgroup of G x G in G^3 as a frozenset of triples."""
+    n = g.order
+    out = set()
+    for m in members:
+        a, bc = divmod(images[m], n * n)
+        out.add((a,) + divmod(bc, n))
+    return frozenset(out)
+
+
+def _componentwise_conjugate(inner, s, t) -> bool:
+    """Whether (x, y, z) s (x, y, z)^-1 = t for some x, y, z in G.
+
+    s and t are subgroups of G^3 as sets of triples, and inner holds one
+    conjugation permutation of G per inner automorphism.  The search
+    fixes x, then y, then z, and drops x (or x and y) as soon as the
+    projection of the conjugate to coordinate 1 (or 1 and 2) differs
+    from that of t.
+    """
+    if s == t:
+        return True
+    s1 = {a for a, _, _ in s}
+    s12 = {(a, b) for a, b, _ in s}
+    t1 = {a for a, _, _ in t}
+    t12 = {(a, b) for a, b, _ in t}
+    for px in inner:
+        if {px[a] for a in s1} != t1:
+            continue
+        for py in inner:
+            if {(px[a], py[b]) for a, b in s12} != t12:
+                continue
+            for pz in inner:
+                if {(px[a], py[b], pz[c]) for a, b, c in s} == t:
+                    return True
+    return False
+
+
+def _stabilizer_clusters(g: Group, gg: Group):
+    """G^3-conjugacy class of each stabilizer, numbered in first-seen order.
+
+    Entries 2*ci and 2*ci + 1 belong to the two inductions of basis class
+    ci of G x G.  Induction along an injective psi takes (G x G)/K to
+    G^3/psi(K) (Bouc, Biset Functors for Finite Groups, 2010), so the
+    stabilizers are psi(K) up to conjugacy, and conjugacy in G^3 is
+    conjugacy in each coordinate.  gg is G x G.
+    """
+    lat_gg = subgroup_lattice(gg)
+    orders = [g.element_order(a) for a in g.elements()]
+    # conjugation by x depends on x only modulo the centre of G
+    inner = list(dict.fromkeys(tuple(g.conj(x, a) for a in g.elements())
+                               for x in g.elements()))
+    psis = (_embed_delta_g(g), _embed_d13(g))
+    buckets = {}  # conjugacy invariant -> [(cluster, subgroup)]
+    cls_of = []
+    n_clusters = 0
+    for ci in range(lat_gg.class_count):
+        members = lat_gg.class_rep(ci).members
+        for psi in psis:
+            s = _triples(g, psi, members)
+            key = (len(s), tuple(sorted((orders[a], orders[b], orders[c])
+                                        for a, b, c in s)))
+            bucket = buckets.setdefault(key, [])
+            found = next((k for k, r in bucket
+                          if _componentwise_conjugate(inner, s, r)), None)
+            if found is None:
+                found = n_clusters
+                n_clusters += 1
+                bucket.append((found, s))
+            cls_of.append(found)
+    return cls_of
+
+
+def commutant_basis(g: Group, ring) -> CommutantResult:
     """Solve the two-sided diagonal condition over the basis of RB(G x G).
 
     The single witness is the identity biset of G; for m over G x G the
     condition reads Ind along {(a,a,b)} equals Ind along {(a,b,a)} inside
-    G^3.  Both inductions of each basis class are transitive, so the
-    constraint matrix only needs the G^3-conjugacy classes of the induced
-    stabilizers.  The solution set is compared against the span of the
-    diagonal classes [GG/Delta(L)].
+    G^3.  Both inductions of a basis class (G x G)/K are transitive, with
+    stabilizers conjugate to the images psi1(K) and psi2(K), so the
+    constraint matrix only needs the conjugacy classes of these images,
+    which are found coordinate by coordinate with no G^3 or G-set built.
+    The solution set is compared against the span of the diagonal
+    classes [GG/Delta(L)].  Only |G x G| <= MAX_GROUP_ORDER bounds the
+    base group.
     """
-    if g.order > max_base_order:
+    if g.order * g.order > MAX_GROUP_ORDER:
         raise ResourceBoundError(
-            f"commutant computation capped at base order {max_base_order}")
+            f"commutant computation capped at base order "
+            f"{isqrt(MAX_GROUP_ORDER)}, since |G x G| <= {MAX_GROUP_ORDER}")
     gg = squared(g)
-    ggg = cubed(g)
+    return _commutant_from_clusters(g, gg, ring, _stabilizer_clusters(g, gg))
+
+
+def _commutant_from_clusters(g: Group, gg: Group, ring, cls_of) -> CommutantResult:
+    """The commutant from the stabilizer class of each induction.
+
+    cls_of lists, for each basis class ci of gg = G x G, the classes of
+    its two induced stabilizers at 2*ci and 2*ci + 1, numbered from 0.
+    """
     lat_gg = subgroup_lattice(gg)
     n = lat_gg.class_count
-
-    psi1 = _embed_delta_g(g)
-    psi2 = _embed_d13(g)
-
-    stabs = []  # stabilizers of both inductions, per basis class
-    for ci in range(n):
-        x = transitive_of_class(gg, ci)
-        for psi in (psi1, psi2):
-            ind = induce_along(x, psi, ggg)
-            orbs = orbits(ind)
-            if len(orbs) != 1:
-                raise InternalInconsistencyError(
-                    "induction of a transitive set must be transitive")
-            stabs.append(stabilizer(ind, orbs[0][0]))
-
-    # cluster all stabilizers by conjugacy in G^3 (fingerprint pruned)
-    reps = []
-    cls_of = []
-    for s in stabs:
-        fp = subgroup_conjugacy_fingerprint(ggg, s)
-        found = None
-        for ri, (rfp, rsub) in enumerate(reps):
-            if rfp == fp and subgroups_conjugate(ggg, s, rsub):
-                found = ri
-                break
-        if found is None:
-            reps.append((fp, s))
-            found = len(reps) - 1
-        cls_of.append(found)
-
-    rows = [[0] * n for _ in range(len(reps))]
+    n_clusters = max(cls_of) + 1
+    rows = [[0] * n for _ in range(n_clusters)]
     for ci in range(n):
         rows[cls_of[2 * ci]][ci] += 1
         rows[cls_of[2 * ci + 1]][ci] -= 1
 
-    res = solve_linear(Matrix.from_rows(ring, rows), [ring.zero] * len(reps))
+    res = solve_linear(Matrix.from_rows(ring, rows), [ring.zero] * n_clusters)
     if not isinstance(res, Solution):
         raise InternalInconsistencyError("homogeneous system reported unsolvable")
     solutions = [BurnsideElement(gg, ring, dict(enumerate(vec)))

@@ -8,11 +8,27 @@ other.
 from fractions import Fraction
 from itertools import combinations
 
-from burnside.algebra import BurnsideElement, identity_element, mult_matrix
+from burnside.algebra import (
+    BurnsideElement,
+    identity_element,
+    mult_matrix,
+    transitive_of_class,
+)
 from burnside.errors import GroupMismatchError, RingMismatchError
-from burnside.groups import Group, subgroup_lattice
+from burnside.groups import (
+    Group,
+    cubed,
+    squared,
+    subgroup_lattice,
+    subgroups_conjugate,
+)
+from burnside.gsets import induce_along, orbits, stabilizer
 from burnside.rings import ZZ
-from burnside.separability import TensorElement
+from burnside.separability import (
+    TensorElement,
+    _embed_d13,
+    _embed_delta_g,
+)
 
 
 def assoc_holds_everywhere(g):
@@ -407,3 +423,38 @@ def fraction_verify_casimir(u: TensorElement) -> bool:
         if fraction_tensor_act_left(x, u) != fraction_tensor_act_right(u, x):
             return False
     return fraction_tensor_mu(u) == identity_element(g, ring)
+
+
+# ---------------------------------------------------------------------------
+# Commutant by explicit induction: the reference for the stabilizer
+# clustering in burnside.separability.  Each basis class of G x G is
+# induced into a concrete G^3-set along both embeddings, and the
+# stabilizers of a point are clustered by conjugacy inside the group G^3.
+# ---------------------------------------------------------------------------
+
+def induced_stabilizer_clusters(g: Group):
+    """Conjugacy class in G^3 of each induced stabilizer, in first-seen order.
+
+    Entries 2*ci and 2*ci + 1 are the inductions of basis class ci of
+    G x G along (a, b) -> (a, a, b) and (c, d) -> (d, c, d).
+    """
+    gg = squared(g)
+    ggg = cubed(g)
+    stabs = []
+    for ci in range(subgroup_lattice(gg).class_count):
+        x = transitive_of_class(gg, ci)
+        for psi in (_embed_delta_g(g), _embed_d13(g)):
+            ind = induce_along(x, psi, ggg)
+            orbs = orbits(ind)
+            assert len(orbs) == 1, "induction of a transitive set is transitive"
+            stabs.append(stabilizer(ind, orbs[0][0]))
+    reps = []
+    cls_of = []
+    for s in stabs:
+        found = next((ri for ri, r in enumerate(reps)
+                      if subgroups_conjugate(ggg, s, r)), None)
+        if found is None:
+            reps.append(s)
+            found = len(reps) - 1
+        cls_of.append(found)
+    return cls_of

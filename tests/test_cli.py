@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
@@ -134,6 +136,19 @@ def test_commutant_json(capsys):
     validate(payload, "commutant.schema.json")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("commutant", "S3", "--ring", "Q"),
+     "da6f87fcae37f7866cbef0c3e6157a268f76258a0271a36b8206a75ee88e32d8"),
+    (("commutant", "prod(C2,C3)", "--ring", "Z/2"),
+     "f1bb8d565881a6cb4a44d040642984856da37acb39c879f1139116a4fa73c45e"),
+])
+def test_commutant_json_bytes(capsys, argv, digest):
+    # the same sha256 values as the benchmark's golden outputs
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")
@@ -162,7 +177,7 @@ def test_error_codes(capsys):
     code, _, err = run_cli(capsys, "separable", "ring", "C2", "--ring", "GF(9)")
     assert code == 2 and err.startswith("E_PARSE:")
 
-    code, _, err = run_cli(capsys, "commutant", "D8", "--ring", "Q")
+    code, _, err = run_cli(capsys, "commutant", "D16", "--ring", "Q")
     assert code == 2 and err.startswith("E_RESOURCE:")
 
     # only ASCII digits are numbers: Unicode digits are parse errors, not

@@ -17,10 +17,14 @@ from burnside.errors import NotInvertibleError, ResourceBoundError, RingMismatch
 from burnside.groups import build_group, squared, subgroup_lattice
 from burnside.gsets import induce_along, iso_equal
 from burnside.rings import QQ, ZZ, Solution, Zmod, solve_linear
+import burnside.groups
+import burnside.gsets
 from burnside.separability import (
     TensorElement,
     _embed_d13,
+    _commutant_from_clusters,
     _embed_delta_g,
+    _stabilizer_clusters,
     casimir_from_idempotents,
     casimir_linear_system,
     commutant_basis,
@@ -42,6 +46,7 @@ from helpers import (
     fraction_tensor_act_right,
     fraction_tensor_mu,
     fraction_verify_casimir,
+    induced_stabilizer_clusters,
 )
 
 
@@ -297,8 +302,42 @@ def test_commutant_over_z_and_modular():
 
 
 def test_commutant_resource_bound():
+    # base order 16 is the first whose square exceeds the group order bound
     with pytest.raises(ResourceBoundError):
-        commutant_basis(build_group("D8"), QQ)
+        commutant_basis(build_group("D16"), QQ)
+
+
+@pytest.mark.parametrize("spec", ["C1", "C2", "C3", "C4", "C5", "C6", "S3",
+                                  "prod(C2,C2)", "prod(C2,C3)"])
+def test_commutant_matches_explicit_induction(spec):
+    g = build_group(spec)
+    gg = squared(g)
+    cls_of = induced_stabilizer_clusters(g)
+    assert _stabilizer_clusters(g, gg) == cls_of
+    for ring in (QQ, ZZ, Zmod(2), Zmod(6)):
+        assert commutant_basis(g, ring) == \
+            _commutant_from_clusters(g, gg, ring, cls_of)
+
+
+def test_commutant_builds_no_cube_and_no_gset(monkeypatch):
+    g = build_group("S3")
+    bound = g.order ** 2
+    group_init = burnside.groups.Group.__init__
+
+    def small_group_init(self, mul, *args, **kwargs):
+        if len(mul) > bound:
+            raise AssertionError(f"built a group of order {len(mul)}")
+        group_init(self, mul, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a G-set")
+
+    monkeypatch.setattr(burnside.groups.Group, "__init__", small_group_init)
+    monkeypatch.setattr(burnside.groups, "cubed", refuse)
+    monkeypatch.setattr(burnside.gsets.GSet, "__init__", refuse)
+    monkeypatch.setattr(burnside.gsets, "induce", refuse)
+    res = commutant_basis(g, QQ)
+    assert res.dimension == 4 and res.matches_diagonal_span
 
 
 def test_derivation_space_zero_cases():
