@@ -394,13 +394,23 @@ def _triples(g: Group, images, members):
     return frozenset(out)
 
 
+def _inner_automorphisms(g: Group):
+    """One conjugation permutation of G per inner automorphism.
+
+    Conjugation by x depends on x only modulo the centre, so there are
+    |G : Z(G)| of them, and an abelian G has the identity alone.
+    """
+    return list(dict.fromkeys(tuple(g.conj(x, a) for a in g.elements())
+                              for x in g.elements()))
+
+
 def _componentwise_conjugate(inner, s, t) -> bool:
     """Whether (x, y, z) s (x, y, z)^-1 = t for some x, y, z in G.
 
-    s and t are subgroups of G^3 as sets of triples, and inner holds one
-    conjugation permutation of G per inner automorphism.  The search
-    fixes x, then y, then z, and drops x (or x and y) as soon as the
-    projection of the conjugate to coordinate 1 (or 1 and 2) differs
+    s and t are subgroups of G^3 as sets of triples, and inner lists the
+    conjugation permutations of G, one per inner automorphism.  The
+    search fixes x, then y, then z, and drops x (or x and y) as soon as
+    the projection of the conjugate to coordinate 1 (or 1 and 2) differs
     from that of t.
     """
     if s == t:
@@ -432,9 +442,7 @@ def _stabilizer_clusters(g: Group, gg: Group):
     """
     lat_gg = subgroup_lattice(gg)
     orders = [g.element_order(a) for a in g.elements()]
-    # conjugation by x depends on x only modulo the centre of G
-    inner = list(dict.fromkeys(tuple(g.conj(x, a) for a in g.elements())
-                               for x in g.elements()))
+    inner = _inner_automorphisms(g)
     psis = (_embed_delta_g(g), _embed_d13(g))
     buckets = {}  # conjugacy invariant -> [(cluster, subgroup)]
     cls_of = []

@@ -14,7 +14,14 @@ from burnside.algebra import (
     multiply,
 )
 from burnside.errors import NotInvertibleError, ResourceBoundError, RingMismatchError
-from burnside.groups import build_group, squared, subgroup_lattice
+from burnside.groups import (
+    Subgroup,
+    build_group,
+    cubed,
+    squared,
+    subgroup_lattice,
+    subgroups_conjugate,
+)
 from burnside.gsets import induce_along, iso_equal
 from burnside.rings import QQ, ZZ, Solution, Zmod, solve_linear
 import burnside.groups
@@ -23,8 +30,11 @@ from burnside.separability import (
     TensorElement,
     _embed_d13,
     _commutant_from_clusters,
+    _componentwise_conjugate,
     _embed_delta_g,
+    _inner_automorphisms,
     _stabilizer_clusters,
+    _triples,
     casimir_from_idempotents,
     casimir_linear_system,
     commutant_basis,
@@ -317,6 +327,42 @@ def test_commutant_matches_explicit_induction(spec):
     for ring in (QQ, ZZ, Zmod(2), Zmod(6)):
         assert commutant_basis(g, ring) == \
             _commutant_from_clusters(g, gg, ring, cls_of)
+
+
+def test_componentwise_conjugacy_matches_conjugacy_in_the_cube():
+    # psi1(K) and psi2(K) of two class representatives are conjugate only
+    # when equal, so random conjugates of them are compared as well
+    rng = random.Random(8)
+    g = build_group("S3")
+    n = g.order
+    ggg = cubed(g)
+    inner = _inner_automorphisms(g)
+    lat_gg = subgroup_lattice(squared(g))
+    images = [_triples(g, psi, lat_gg.class_rep(ci).members)
+              for ci in range(lat_gg.class_count)
+              for psi in (_embed_delta_g(g), _embed_d13(g))]
+    moved = []
+    for s in images:
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        moved.append(frozenset((g.conj(x, a), g.conj(y, b), g.conj(z, c))
+                               for a, b, c in s))
+
+    def in_cube(s):
+        return Subgroup(ggg, (a * n * n + b * n + c for a, b, c in s))
+
+    assert moved != images
+    for s in images:
+        for t in moved:
+            assert _componentwise_conjugate(inner, s, t) == \
+                subgroups_conjugate(ggg, in_cube(s), in_cube(t))
+
+
+@pytest.mark.parametrize("spec,count", [("C4", 1), ("prod(C2,C3)", 1),
+                                        ("S3", 6), ("D8", 4), ("Q8", 4),
+                                        ("D12", 6)])
+def test_one_conjugator_per_inner_automorphism(spec, count):
+    # |G : Z(G)| conjugators, so an abelian base needs the identity alone
+    assert len(_inner_automorphisms(build_group(spec))) == count
 
 
 def test_commutant_builds_no_cube_and_no_gset(monkeypatch):
