@@ -163,14 +163,6 @@ class BurnsideElement:
         return cls(group, ring, {ci: ring.one})
 
     @classmethod
-    def from_label_coeffs(cls, group, ring, by_label: dict):
-        lat = subgroup_lattice(group)
-        return cls(group, ring, {
-            lat.class_index_of_label(lbl): ring.from_int(v) if isinstance(v, int) else v
-            for lbl, v in by_label.items()
-        })
-
-    @classmethod
     def from_gset(cls, x: GSet, ring):
         lat = subgroup_lattice(x.group)
         coeffs = {}

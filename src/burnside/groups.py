@@ -103,28 +103,13 @@ class Group:
                 raise NotAGroupError(f"element {a} has no two-sided inverse")
         return tuple(inv)
 
-    def _closure_under(self, gens):
-        reached = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = self.mul_table[a][s]
-                    if b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return reached
-
     def _find_generators(self):
-        gens = []
-        reached = {self.identity}
-        while len(reached) < self.order:
-            cand = min(x for x in range(self.order) if x not in reached)
-            gens.append(cand)
-            reached = self._closure_under(gens)
-        return tuple(gens)
+        """Greedy generators: the least element not yet reached, each time."""
+        members, mask, gens = [self.identity], 1 << self.identity, ()
+        while len(members) < self.order:
+            cand = min(x for x in range(self.order) if not mask >> x & 1)
+            members, mask, gens = _join(self.mul_table, members, mask, gens, cand)
+        return gens
 
     def _validate_associativity(self):
         n = self.order
@@ -252,16 +237,9 @@ class Subgroup:
     def index(self):
         return self.parent.order // self.order
 
-    def contains(self, x):
-        return bool(self.mask >> x & 1)
-
     def leq(self, other: "Subgroup"):
         return (self.parent == other.parent
                 and self.mask & other.mask == self.mask)
-
-    def conjugate_by(self, g):
-        p = self.parent
-        return Subgroup(p, (p.conj(g, x) for x in self.members))
 
     def generators_local(self):
         """Small generating set, as indices into ``members``."""

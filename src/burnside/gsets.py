@@ -61,9 +61,6 @@ class GSet:
                     if row_sh[p] != row_s[row_h[p]]:
                         raise NotAGroupError("action is not compatible with mul")
 
-    def apply(self, g, p):
-        return self.action[g][p]
-
     def points(self):
         return range(self.size)
 

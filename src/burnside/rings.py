@@ -219,7 +219,7 @@ def _normaliser(ring):
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination over Z and Z/m
+# Sparse exact elimination over Z, Z/m and Q
 # ---------------------------------------------------------------------------
 
 def _sparse(row):
@@ -260,6 +260,10 @@ class _Elimination:
     every operation that touches row i.  ``live`` holds the rows from the
     current step on: the finished rows hold only their pivot, and no live
     row holds a finished column.
+
+    All three rings share this block.  Z and Z/m use all of it; the
+    Gauss-Jordan over Q uses only the rows, the carried block,
+    ``holders`` and ``live``, and never swaps or touches a column.
     """
 
     def __init__(self, rows, ncols, carry, m=0):
@@ -524,8 +528,9 @@ class NoSolution:
 def solve_linear(a: Matrix, b, ring=None):
     """Solve a*x = b over the matrix ring; returns Solution or NoSolution.
 
-    Over Z and Z/m the deduplicated rows go to the sparse elimination
-    with [b_i] as the carried block, so U*b comes back without U.
+    Over every ring the deduplicated rows go to the sparse elimination
+    with [b_i] as the carried block, so U*b comes back without U: Smith
+    form over Z, diagonalization mod m over Z/m, Gauss-Jordan over Q.
     """
     ring = ring or a.ring
     if ring != a.ring:
@@ -533,56 +538,65 @@ def solve_linear(a: Matrix, b, ring=None):
     b = list(_normaliser(ring)(b))
     if len(b) != a.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")
-    if isinstance(ring, RationalRing):
-        return _solve_rational(a.entries, b)
     rows, rhs = _dedup_rows(a.entries, b)
     carry = [{0: bb} if bb else {} for bb in rhs]
+    if isinstance(ring, RationalRing):
+        return _solve_rational(rows, a.cols, carry)
     if isinstance(ring, IntegerRing):
         return _solve_integer(*_snf_int(rows, a.cols, carry))
     return _solve_modular(*_diagonalize_mod(rows, a.cols, carry, ring.m), ring.m)
 
 
-def _solve_rational(a, b):
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
-        if piv is None:
+def _solve_rational(rows, ncols, carry):
+    """Gauss-Jordan over Q on the sparse block, with [b_i] carried.
+
+    Columns are taken in order; the pivot of column j is the least live
+    row id holding it, and it is cleared from every other row holding j,
+    finished pivot rows included, before it leaves ``live``.  Rows are
+    never scaled: the particular solution (zero on the free columns) and
+    one kernel vector per free column are read off divided by the pivots.
+    They are those of the reduced echelon form, which is unique, so they
+    depend neither on the choice of pivot rows nor on the dedup.  A live
+    row ends as 0 = residual; the first nonzero one, by row id among the
+    deduplicated rows, is the ``rank_mismatch`` certificate.  No command
+    reaches it: over Q ``separable ring`` is always positive, ``invert``
+    checks the marks first, and the commutant and derivation systems are
+    homogeneous.
+    """
+    e = _Elimination(rows, ncols, carry)
+    pivot_col = {}  # pivot row id -> its column
+    for j in range(ncols):
+        live = e.holders[j] & e.live
+        if not live:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][j]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(j)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if m[i][cols] != 0:
+        p = min(live)
+        x = rows[p][j]
+        for i in [i for i in e.holders[j] if i != p]:
+            e.add_row(p, i, -rows[i][j] / x)
+        e.live.discard(p)
+        pivot_col[p] = j
+    for i in sorted(e.live):
+        if carry[i]:
             return NoSolution({
                 "kind": "rank_mismatch",
                 "row": i,
-                "residual": str(m[i][cols]),
+                "residual": str(carry[i][0]),
             })
-    particular = [Fraction(0)] * cols
-    for i, j in enumerate(pivots):
-        particular[j] = m[i][cols]
-    free = [j for j in range(cols) if j not in pivots]
+    particular = [Fraction(0)] * ncols
+    for p, j in pivot_col.items():
+        particular[j] = carry[p].get(0, 0) / rows[p][j]
+    pivots = set(pivot_col.values())
     kernel = []
-    for j in free:
-        vec = [Fraction(0)] * cols
-        vec[j] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            vec[pj] = -m[i][j]
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for p in e.holders[f]:  # pivot rows only: the live rows are zero
+            j = pivot_col[p]
+            vec[j] = -rows[p][f] / rows[p][j]
         kernel.append(vec)
     return Solution(particular, kernel, QQ)
-
 
 
 def _dedup_rows(a, b):

@@ -64,6 +64,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     Group,
     centralizer_of_subgroup,
+    element_classes,
     squared,
     subgroup_lattice,
 )
@@ -438,10 +439,15 @@ def _stabilizer_clusters(g: Group, gg: Group):
     ci of G x G.  Induction along an injective psi takes (G x G)/K to
     G^3/psi(K) (Bouc, Biset Functors for Finite Groups, 2010), so the
     stabilizers are psi(K) up to conjugacy, and conjugacy in G^3 is
-    conjugacy in each coordinate.  gg is G x G.
+    conjugacy in each coordinate.  The images are bucketed by their
+    triples of element conjugacy classes, which conjugation keeps and
+    which, for an abelian G, are the triples themselves.  gg is G x G.
     """
     lat_gg = subgroup_lattice(gg)
-    orders = [g.element_order(a) for a in g.elements()]
+    cid = [0] * g.order  # element -> index of its conjugacy class
+    for k, (_, ccl, _) in enumerate(element_classes(g)):
+        for a in ccl:
+            cid[a] = k
     inner = _inner_automorphisms(g)
     psis = (_embed_delta_g(g), _embed_d13(g))
     buckets = {}  # conjugacy invariant -> [(cluster, subgroup)]
@@ -451,8 +457,7 @@ def _stabilizer_clusters(g: Group, gg: Group):
         members = lat_gg.class_rep(ci).members
         for psi in psis:
             s = _triples(g, psi, members)
-            key = (len(s), tuple(sorted((orders[a], orders[b], orders[c])
-                                        for a, b, c in s)))
+            key = tuple(sorted((cid[a], cid[b], cid[c]) for a, b, c in s))
             bucket = buckets.setdefault(key, [])
             found = next((k for k, r in bucket
                           if _componentwise_conjugate(inner, s, r)), None)
@@ -519,8 +524,7 @@ def _commutant_from_clusters(g: Group, gg: Group, ring, cls_of) -> CommutantResu
         cls_of[2 * dc] == cls_of[2 * dc + 1] for dc in diag_classes)
     matches = supported and each_diag_solves
 
-    from .rings import RationalRing
-    dimension = len(res.kernel) if isinstance(ring, RationalRing) else None
+    dimension = len(res.kernel) if ring == QQ else None
     return CommutantResult(solutions, matches, diag_classes, dimension)
 
 

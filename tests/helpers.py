@@ -23,7 +23,7 @@ from burnside.groups import (
     subgroups_conjugate,
 )
 from burnside.gsets import induce_along, orbits, stabilizer
-from burnside.rings import ZZ
+from burnside.rings import QQ, ZZ, NoSolution, Solution
 from burnside.separability import (
     TensorElement,
     _embed_d13,
@@ -340,6 +340,60 @@ def dense_diagonalize_mod(a, m):
                 break
         t += 1
     return u, s, v
+
+
+# ---------------------------------------------------------------------------
+# Dense Gauss-Jordan over Q: the reference for the sparse rational solve in
+# burnside.rings.  The two pick different pivot rows, so they agree on the
+# reduced echelon form that is read off, not operation for operation.
+# ---------------------------------------------------------------------------
+
+def dense_solve_rational(a, b):
+    """Dense Gauss-Jordan over Q on [a | b], scaling each pivot row to 1.
+
+    a holds rows of Fractions and b their targets.  The kernel has one
+    vector per free column; a row left as 0 = residual != 0 gives a
+    ``rank_mismatch`` certificate at its position after the row swaps.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
+    pivots = []
+    rank = 0
+    for j in range(cols):
+        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][j]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(j)
+        rank += 1
+        if rank == rows:
+            break
+    for i in range(rank, rows):
+        if m[i][cols] != 0:
+            return NoSolution({
+                "kind": "rank_mismatch",
+                "row": i,
+                "residual": str(m[i][cols]),
+            })
+    particular = [Fraction(0)] * cols
+    for i, j in enumerate(pivots):
+        particular[j] = m[i][cols]
+    free = [j for j in range(cols) if j not in pivots]
+    kernel = []
+    for j in free:
+        vec = [Fraction(0)] * cols
+        vec[j] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            vec[pj] = -m[i][j]
+        kernel.append(vec)
+    return Solution(particular, kernel, QQ)
 
 
 # ---------------------------------------------------------------------------

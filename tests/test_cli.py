@@ -149,6 +149,22 @@ def test_commutant_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("derivations", "S4", "--ring", "Q"),
+     "41b18b22de651d2cbdc2381bd0e1b9afdf0f1e0e73dc08024931063f5f86d5d9"),
+    (("commutant", "D8", "--ring", "Q"),
+     "14946526404d3bf57dfc83d43c2c314383de5af3b29dc9233a407b2264d60b8e"),
+    (("commutant", "D12", "--ring", "Q"),
+     "f150f4afd58d8f25a069fc0df95f3b15872a5e73c65968df29cd3d34983ffb21"),
+])
+def test_rational_json_bytes(capsys, argv, digest):
+    # pinned from the dense Gauss-Jordan that solved over Q before the
+    # sparse elimination did
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

@@ -34,6 +34,7 @@ from helpers import (
     moebius_by_zeta_inverse,
     subgroups_by_powerset,
 )
+from test_algebra import TEST_SPECS
 
 
 C2_5 = "prod(C2,prod(C2,prod(C2,prod(C2,C2))))"
@@ -252,6 +253,13 @@ def test_normalizer_centralizer_invariants(spec):
         c = centralizer_of_subgroup(g, h)
         assert n.order % h.order == 0
         assert c.leq(n)
+
+
+@pytest.mark.parametrize("spec", TEST_SPECS + ["S5", "prod(D8,D8)"])
+def test_generators_are_greedy(spec):
+    # each generator is the least element outside the span of the earlier ones
+    g = build_group(spec)
+    assert g.generators == tuple(generating_set(g, g.elements()))
 
 
 def test_direct_product_layout():

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from burnside.algebra import BurnsideElement, mult_matrix
+from burnside.bisets import gamma
 from burnside.errors import DimensionMismatchError, NotInvertibleError, ParseError
-from burnside.groups import build_group
+from burnside.groups import build_group, squared, subgroup_lattice
 from burnside.rings import (
     QQ,
     ZZ,
@@ -20,12 +23,17 @@ from burnside.rings import (
     smith_normal_form,
     solve_linear,
 )
-from burnside.separability import casimir_linear_system, leibniz_system
+from burnside.separability import (
+    _stabilizer_clusters,
+    casimir_linear_system,
+    leibniz_system,
+)
 
 from helpers import (
     bareiss_det,
     dense_diagonalize_mod,
     dense_snf_int,
+    dense_solve_rational,
     enumerate_modular_solutions,
     mat_mul,
     span_closure_mod,
@@ -284,3 +292,62 @@ def test_sparse_elimination_matches_dense_oracle_on_systems(spec, ring):
         rows, b = _dedup_rows(entries, b)
         a = [[row.get(j, 0) for j in range(matrix.cols)] for row in rows]
         _assert_matches_dense(a, b, m)
+
+
+def _assert_rational_matches_dense(a, b):
+    """The sparse solve over Q gives the dense oracle's answer, in Fractions."""
+    matrix = Matrix.from_rows(QQ, a)
+    b = [Fraction(x) for x in b]
+    got = solve_linear(matrix, b)
+    want = dense_solve_rational(matrix.entries, b)
+    if isinstance(want, NoSolution):
+        assert isinstance(got, NoSolution)
+        for cert in (got.certificate, want.certificate):
+            assert cert["kind"] == "rank_mismatch"
+            assert Fraction(cert["residual"]) != 0
+        return False
+    assert isinstance(got, Solution)
+    assert got.particular == want.particular
+    assert got.kernel == want.kernel
+    assert all(type(x) is Fraction
+               for vec in [got.particular, *got.kernel] for x in vec)
+    return True
+
+
+def test_sparse_rational_matches_dense_oracle():
+    rng = random.Random(60603)
+    entry = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    outcomes = set()
+    outcomes.add(_assert_rational_matches_dense([], []))
+    for rows, cols in _random_shapes(rng) * 3:
+        a = _random_matrix(rng, rows, cols, entry)
+        if rng.random() < 0.4:
+            a += [list(row) for row in rng.sample(a, rng.randint(1, rows))]
+        x = [entry() for _ in range(cols)]
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+        if rng.random() < 0.4:
+            b[rng.randrange(len(b))] += entry() or 1
+        outcomes.add(_assert_rational_matches_dense(a, b))
+    assert outcomes == {False, True}
+
+    for spec in ("S3", "D8", "S4"):
+        g = build_group(spec)
+        matrix, rhs = casimir_linear_system(g, QQ)
+        assert _assert_rational_matches_dense(matrix.entries, rhs)
+        leibniz = leibniz_system(g, QQ)
+        assert _assert_rational_matches_dense(leibniz.entries, [0] * leibniz.rows)
+        n = subgroup_lattice(g).class_count
+        one = [1 if j == n - 1 else 0 for j in range(n)]
+        unit = BurnsideElement(g, QQ, {j: Fraction(j + 1, j + 2) for j in range(n)})
+        for a in (gamma(g, QQ), unit):
+            assert _assert_rational_matches_dense(mult_matrix(a), one)
+
+    for spec in ("S3", "D8"):
+        g = build_group(spec)
+        gg = squared(g)
+        cls_of = _stabilizer_clusters(g, gg)
+        rows = [[0] * (len(cls_of) // 2) for _ in range(max(cls_of) + 1)]
+        for ci in range(len(cls_of) // 2):
+            rows[cls_of[2 * ci]][ci] += 1
+            rows[cls_of[2 * ci + 1]][ci] -= 1
+        assert _assert_rational_matches_dense(rows, [0] * len(rows))

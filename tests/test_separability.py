@@ -329,6 +329,21 @@ def test_commutant_matches_explicit_induction(spec):
             _commutant_from_clusters(g, gg, ring, cls_of)
 
 
+@pytest.mark.parametrize("spec,digest", [
+    ("D8", "96c68fec324ecb64dd82c13f0ba6fc835e6a0ca1f707a6d4a1f59e7b220b550f"),
+    ("Q8", "ed14f972251f61390cfd1462be4eebd9d86938729403f6ba4d114ba5c0ccc5be"),
+    ("D12", "01744f2311ca0ecde4abdc4819b65196d1603a949f05012c8a6842d104054f58"),
+    ("prod(C2,prod(C2,C2))",
+     "45de7e722569ac71459814ea7da99fd134cc3969cfe47cfabb5e18cc6b0b2597"),
+])
+def test_stabilizer_clusters_digest(spec, digest):
+    # G^3 is too large for the explicit-induction oracle here, so the
+    # cluster lists are pinned as the element-order bucketing gave them
+    g = build_group(spec)
+    cls_of = _stabilizer_clusters(g, squared(g))
+    assert hashlib.sha256(json.dumps(cls_of).encode()).hexdigest() == digest
+
+
 def test_componentwise_conjugacy_matches_conjugacy_in_the_cube():
     # psi1(K) and psi2(K) of two class representatives are conjugate only
     # when equal, so random conjugates of them are compared as well
@@ -387,7 +402,8 @@ def test_commutant_builds_no_cube_and_no_gset(monkeypatch):
 
 
 def test_derivation_space_zero_cases():
-    for spec, ring in [("S3", ZZ), ("C4", ZZ), ("C2", ZZ), ("C3", Zmod(5))]:
+    for spec, ring in [("S3", ZZ), ("C4", ZZ), ("C2", ZZ), ("C3", Zmod(5)),
+                       ("S4", QQ), ("D8", QQ), ("prod(C2,prod(C2,C2))", QQ)]:
         d = derivation_space(build_group(spec), ring)
         assert d.is_zero()
 
