@@ -182,50 +182,49 @@ def is_unit(a, ring) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable ring-tagged matrix; entries normalised into the ring."""
+    """Immutable ring-tagged matrix, stored as sparse rows.
+
+    Row i of ``sparse`` is a tuple of (column, value) pairs in column
+    order, values in ring form and zeros left out, so two rows are equal
+    exactly when their tuples are.
+    """
 
     ring: object
-    entries: tuple
+    cols: int
+    sparse: tuple
+
+    @classmethod
+    def from_sparse(cls, ring, cols, rows):
+        """The matrix of {column: value} rows, values normalised into the ring."""
+        return cls(ring, cols, tuple(
+            tuple((j, y) for j, x in sorted(row.items()) if (y := ring.from_int(x)))
+            for row in rows))
 
     @classmethod
     def from_rows(cls, ring, rows):
-        normalise = _normaliser(ring)
-        norm = tuple(map(normalise, rows))
-        widths = {len(row) for row in norm}
+        """The matrix of dense rows, which must all have one length."""
+        rows = [dict(enumerate(row)) for row in rows]
+        widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise DimensionMismatchError("ragged matrix")
-        return cls(ring, norm)
+        return cls.from_sparse(ring, max(widths, default=0), rows)
 
     @property
     def rows(self):
-        return len(self.entries)
+        return len(self.sparse)
 
     @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-
-def _normaliser(ring):
-    """The function taking a row of values to the tuple of their ring forms.
-
-    It is picked once per matrix, not once per entry.
-    """
-    if isinstance(ring, RationalRing):
-        return lambda row: tuple(map(Fraction, row))
-    if isinstance(ring, ModularRing):
-        reduce = ring.m.__rmod__  # x -> x % m
-        return lambda row: tuple(map(reduce, map(int, row)))
-    return lambda row: tuple(map(int, row))
+    def entries(self):
+        """The dense rows, zeros as ``ring.zero``: a view for tests and
+        layout digests, which no solver reads."""
+        zero = self.ring.zero
+        return tuple(tuple(row.get(j, zero) for j in range(self.cols))
+                     for row in map(dict, self.sparse))
 
 
 # ---------------------------------------------------------------------------
 # Sparse exact elimination over Z, Z/m and Q
 # ---------------------------------------------------------------------------
-
-def _sparse(row):
-    """The nonzero entries of a dense row, as {column: value}."""
-    return {j: x for j, x in enumerate(row) if x}
-
 
 def _add_scaled(dst, src, k, m):
     """dst += k * src for sparse dicts, reduced mod m unless m is 0."""
@@ -488,7 +487,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     if isinstance(ring, RationalRing):
         raise DimensionMismatchError("Smith normal form is defined over Z or Z/m here")
     r, c = a.rows, a.cols
-    diag, carry, vcols = _snf_int([_sparse(row) for row in a.entries], c,
+    diag, carry, vcols = _snf_int([dict(row) for row in a.sparse], c,
                                    [{i: 1} for i in range(r)])
     u = tuple(tuple(row.get(j, 0) for j in range(r)) for row in carry)
     s = tuple(tuple(diag[i] if i == j else 0 for j in range(c)) for i in range(r))
@@ -535,10 +534,10 @@ def solve_linear(a: Matrix, b, ring=None):
     ring = ring or a.ring
     if ring != a.ring:
         raise DimensionMismatchError("matrix/ring mismatch")
-    b = list(_normaliser(ring)(b))
+    b = [ring.from_int(x) for x in b]
     if len(b) != a.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")
-    rows, rhs = _dedup_rows(a.entries, b)
+    rows, rhs = _dedup_rows(a.sparse, b)
     carry = [{0: bb} if bb else {} for bb in rhs]
     if isinstance(ring, RationalRing):
         return _solve_rational(rows, a.cols, carry)
@@ -550,15 +549,18 @@ def solve_linear(a: Matrix, b, ring=None):
 def _solve_rational(rows, ncols, carry):
     """Gauss-Jordan over Q on the sparse block, with [b_i] carried.
 
-    Columns are taken in order; the pivot of column j is the least live
-    row id holding it, and it is cleared from every other row holding j,
-    finished pivot rows included, before it leaves ``live``.  Rows are
+    Columns are taken in order; the pivot of column j is the live row
+    holding it with the fewest nonzeros, ties going to the least row id,
+    which keeps fill-in down.  It is cleared from every other row holding
+    j, finished pivot rows included, before it leaves ``live``.  Rows are
     never scaled: the particular solution (zero on the free columns) and
     one kernel vector per free column are read off divided by the pivots.
     They are those of the reduced echelon form, which is unique, so they
     depend neither on the choice of pivot rows nor on the dedup.  A live
     row ends as 0 = residual; the first nonzero one, by row id among the
-    deduplicated rows, is the ``rank_mismatch`` certificate.  No command
+    deduplicated rows, is the ``rank_mismatch`` certificate, so which row
+    is reported depends on the pivot rule, which decides the rows left
+    live.  No command
     reaches it: over Q ``separable ring`` is always positive, ``invert``
     checks the marks first, and the commutant and derivation systems are
     homogeneous.
@@ -569,7 +571,7 @@ def _solve_rational(rows, ncols, carry):
         live = e.holders[j] & e.live
         if not live:
             continue
-        p = min(live)
+        p = min(live, key=lambda i: (len(rows[i]), i))
         x = rows[p][j]
         for i in [i for i in e.holders[j] if i != p]:
             e.add_row(p, i, -rows[i][j] / x)
@@ -600,8 +602,8 @@ def _solve_rational(rows, ncols, carry):
 
 
 def _dedup_rows(a, b):
-    """Sparse rows of a and their targets, without exact duplicate
-    (row, target) pairs and trivial zero rows.
+    """The sparse rows a, as {column: value} dicts, and their targets,
+    without exact duplicate (row, target) pairs and trivial zero rows.
 
     This never changes the solution set and keeps large systems with
     heavy row repetition (bilinearity constraints, say) tractable.
@@ -613,10 +615,10 @@ def _dedup_rows(a, b):
         key = (row, bb)
         if key in seen:
             continue
-        if not any(row) and not bb:
+        if not row and not bb:
             continue
         seen.add(key)
-        rows.append(_sparse(row))
+        rows.append(dict(row))
         rhs.append(bb)
     if not rows and a:
         rows.append({})

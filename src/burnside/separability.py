@@ -114,12 +114,15 @@ class TensorElement:
 
 
 def _basis_mult_matrices(g: Group):
-    """Integer multiplication matrices of the basis classes.
+    """Integer multiplication matrices of the basis classes, as sparse rows.
 
-    ls[a][l][j] is the coefficient of [G/H_l] in [G/H_a][G/H_j].
+    ls[a][l] is {j: c} over the nonzero coefficients c of [G/H_l] in
+    [G/H_a][G/H_j].
     """
     n = subgroup_lattice(g).class_count
-    return [mult_matrix(BurnsideElement.basis(g, ZZ, a)) for a in range(n)]
+    return [[{j: c for j, c in enumerate(row) if c}
+             for row in mult_matrix(BurnsideElement.basis(g, ZZ, a))]
+            for a in range(n)]
 
 
 def _compat(x: BurnsideElement, u: TensorElement):
@@ -260,18 +263,16 @@ def casimir_linear_system(g: Group, ring):
     for la in ls:
         for i in range(n):
             for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += la[i][k]
-                    row[i * n + k] -= la[j][k]
+                row = {k * n + j: x for k, x in la[i].items()}
+                for k, x in la[j].items():
+                    row[i * n + k] = row.get(i * n + k, 0) - x
                 rows.append(row)
                 rhs.append(0)
     top = n - 1  # class of G itself
     for b in range(n):
-        rows.append([ls[h][b][k] for h in range(n) for k in range(n)])
+        rows.append({h * n + k: x for h in range(n) for k, x in ls[h][b].items()})
         rhs.append(1 if b == top else 0)
-    matrix = Matrix.from_rows(ring, rows)
-    return matrix, [ring.from_int(x) for x in rhs]
+    return Matrix.from_sparse(ring, n * n, rows), [ring.from_int(x) for x in rhs]
 
 
 def ring_separability(g: Group, ring) -> SeparabilityVerdict:
@@ -499,12 +500,13 @@ def _commutant_from_clusters(g: Group, gg: Group, ring, cls_of) -> CommutantResu
     lat_gg = subgroup_lattice(gg)
     n = lat_gg.class_count
     n_clusters = max(cls_of) + 1
-    rows = [[0] * n for _ in range(n_clusters)]
+    rows = [{} for _ in range(n_clusters)]
     for ci in range(n):
-        rows[cls_of[2 * ci]][ci] += 1
-        rows[cls_of[2 * ci + 1]][ci] -= 1
+        if cls_of[2 * ci] != cls_of[2 * ci + 1]:
+            rows[cls_of[2 * ci]][ci] = 1
+            rows[cls_of[2 * ci + 1]][ci] = -1
 
-    res = solve_linear(Matrix.from_rows(ring, rows), [ring.zero] * n_clusters)
+    res = solve_linear(Matrix.from_sparse(ring, n, rows), [ring.zero] * n_clusters)
     if not isinstance(res, Solution):
         raise InternalInconsistencyError("homogeneous system reported unsolvable")
     solutions = [BurnsideElement(gg, ring, dict(enumerate(vec)))
@@ -572,15 +574,16 @@ def leibniz_system(g: Group, ring):
     rows = []
     for i in range(n):
         for j in range(i, n):
+            xij = {l: r[j] for l, r in enumerate(ls[i]) if j in r}
             for b in range(n):
-                row = [0] * (n * n)
-                for l in range(n):
-                    row[l * n + b] = ls[i][l][j]
-                for k in range(n):
-                    row[i * n + k] -= ls[k][b][j]
-                    row[j * n + k] -= ls[i][b][k]
+                row = {l * n + b: x for l, x in xij.items()}
+                # row b of L_j holds [G/H_b] in x_k x_j, as x_j x_k = x_k x_j
+                for k, x in ls[j][b].items():
+                    row[i * n + k] = row.get(i * n + k, 0) - x
+                for k, x in ls[i][b].items():
+                    row[j * n + k] = row.get(j * n + k, 0) - x
                 rows.append(row)
-    return Matrix.from_rows(ring, rows)
+    return Matrix.from_sparse(ring, n * n, rows)
 
 
 def derivation_space(g: Group, ring) -> DerivationSpace:

@@ -143,7 +143,7 @@ def test_criterion_5_commutant():
     t0 = time.monotonic()
     # D8 up to A4 lie beyond the old base-order cap of 6
     for spec in ("C1", "C2", "C3", "S3", "D8", "Q8", "D10", "D12",
-                 "perm:(1 2 3);(1 2)(3 4)"):
+                 "perm:(1 2 3);(1 2)(3 4)", "prod(C2,prod(C2,C2))"):
         g = build_group(spec)
         lat = subgroup_lattice(g)
         res = commutant_basis(g, QQ)

@@ -165,6 +165,19 @@ def test_rational_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("commutant", "prod(C2,prod(C2,C2))", "--ring", "Q"),
+     "1400dc70ee08359f36b71f0a733c8fdf642f0fa1d74e212a313475f2d1b96ab0"),
+    (("separable", "ring", "prod(S3,S3)", "--ring", "Z/2"),
+     "e3e23efce09b8581e2b65834753e9e7285b32d6efb1ca2ecd294e42dacab4e02"),
+])
+def test_sparse_system_json_bytes(capsys, argv, digest):
+    # pinned from the systems built as dense rows, before they were sparse
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

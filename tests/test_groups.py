@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import OrderedDict
 from itertools import combinations
 
 import pytest
@@ -319,11 +320,13 @@ def test_subgroup_as_group_roundtrip():
         assert assoc_holds_everywhere(hg)
 
 
-def test_lattice_resource_bound():
+def test_lattice_resource_bound(monkeypatch):
+    from burnside import groups
     from burnside.errors import ResourceBoundError
-    from burnside.groups import _LATTICE_CACHE
+    # an empty cache, whichever lattices earlier tests left in the shared one
+    monkeypatch.setattr(groups, "_LATTICE_CACHE", OrderedDict())
     g = build_group("perm:(1 2);(3 4);(5 6)")  # fresh C2^3, not cached yet
-    assert g not in _LATTICE_CACHE
+    assert g not in groups._LATTICE_CACHE
     with pytest.raises(ResourceBoundError):
         subgroup_lattice(g, cap=3)
 

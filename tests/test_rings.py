@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from burnside.algebra import BurnsideElement, mult_matrix
+from burnside.algebra import BurnsideElement, invert, mult_matrix
 from burnside.bisets import gamma
 from burnside.errors import DimensionMismatchError, NotInvertibleError, ParseError
 from burnside.groups import build_group, squared, subgroup_lattice
@@ -18,7 +18,6 @@ from burnside.rings import (
     _dedup_rows,
     _diagonalize_mod,
     _snf_int,
-    _sparse,
     ring_from_spec,
     smith_normal_form,
     solve_linear,
@@ -26,7 +25,10 @@ from burnside.rings import (
 from burnside.separability import (
     _stabilizer_clusters,
     casimir_linear_system,
+    commutant_basis,
+    derivation_space,
     leibniz_system,
+    ring_separability,
 )
 
 from helpers import (
@@ -50,8 +52,8 @@ def _eliminate(a, m=0, carry=None):
     if carry is None:
         carry = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     width = len(carry[0]) if carry else 0
-    rows = [_sparse(row) for row in a]
-    block = [_sparse(row) for row in carry]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    block = [{j: x for j, x in enumerate(row) if x} for row in carry]
     diag, block, vcols = (_diagonalize_mod(rows, c, block, m) if m
                           else _snf_int(rows, c, block))
     s = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
@@ -84,6 +86,50 @@ def test_modular_normalisation():
     assert r.inv(2) == 3
     with pytest.raises(NotInvertibleError):
         Zmod(4).inv(2)
+
+
+@pytest.mark.parametrize("ring,a", [
+    (ZZ, [[0, 3, -7], [12, 0, 0], [0, 0, 0]]),
+    (QQ, [[Fraction(1, 2), 0, -3], [0, Fraction(-4, 6), 0], [0, 0, 0]]),
+    (Zmod(6), [[6, 3, -7], [12, 0, 13], [0, -6, 0]]),
+])
+def test_matrix_is_sparse_rows(ring, a):
+    matrix = Matrix.from_rows(ring, a)
+    assert (matrix.rows, matrix.cols) == (3, 3)
+    assert matrix.entries == tuple(tuple(ring.from_int(x) for x in row) for row in a)
+    assert all(type(x) is type(ring.zero) for row in matrix.entries for x in row)
+    assert matrix.sparse == tuple(
+        tuple((j, ring.from_int(x)) for j, x in enumerate(row) if ring.from_int(x))
+        for row in a)
+    # equal rows are equal tuples, whatever order their dicts were built in
+    rows = Matrix.from_sparse(ring, 3, [{2: 1, 0: 5}, {0: 5, 2: 1}]).sparse
+    assert rows[0] == rows[1] == ((0, ring.from_int(5)), (2, ring.from_int(1)))
+    with pytest.raises(DimensionMismatchError, match="ragged"):
+        Matrix.from_rows(ring, [[1, 2], [3]])
+    empty = Matrix.from_rows(ring, [])
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
+def test_matrix_drops_entries_that_vanish_mod_m():
+    matrix = Matrix.from_rows(Zmod(6), [[6, 1, -12], [1, 2, 3], [7, -4, 9]])
+    assert matrix.sparse[0] == ((1, 1),)
+    assert matrix.sparse[1] == matrix.sparse[2]
+    rows, rhs = _dedup_rows(matrix.sparse, [0, 0, 0])
+    assert rows == [{1: 1}, {0: 1, 1: 2, 2: 3}]
+    assert rhs == [0, 0]
+
+
+def test_no_solve_densifies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense view of a matrix read")
+
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+    assert not ring_separability(build_group("S4"), Zmod(6)).separable
+    assert derivation_space(build_group("S4"), ZZ).is_zero()
+    assert commutant_basis(build_group("S3"), QQ).matches_diagonal_span
+    assert isinstance(invert(gamma(build_group("S3"), QQ)), BurnsideElement)
+    snf = smith_normal_form(Matrix.from_rows(ZZ, [[2, 4], [6, 8]]))
+    assert snf.diagonal() == [2, 4]
 
 
 def test_snf_identity_and_zero():
@@ -287,9 +333,9 @@ def test_sparse_elimination_matches_dense_oracle_on_systems(spec, ring):
     m = getattr(ring, "m", 0)
     matrix, rhs = casimir_linear_system(g, ring)
     leibniz = leibniz_system(g, ring)
-    for entries, b in ((matrix.entries, rhs),
-                       (leibniz.entries, [0] * leibniz.rows)):
-        rows, b = _dedup_rows(entries, b)
+    for sparse, b in ((matrix.sparse, rhs),
+                      (leibniz.sparse, [0] * leibniz.rows)):
+        rows, b = _dedup_rows(sparse, b)
         a = [[row.get(j, 0) for j in range(matrix.cols)] for row in rows]
         _assert_matches_dense(a, b, m)
 
