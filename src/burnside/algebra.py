@@ -55,11 +55,6 @@ class MarksTable:
     labels: tuple
     matrix: tuple
 
-    def entry(self, row_label, col_label):
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return self.matrix[i][j]
-
 
 def table_of_marks(g: Group) -> MarksTable:
     lat = subgroup_lattice(g)

@@ -64,39 +64,31 @@ class Biset:
         return self.carrier.size
 
 
-def _pair_index(left: Group, right: Group, a: int, b: int) -> int:
-    return a * right.order + b
+def _biset(left: Group, right: Group, base: Group, lmap, rmap) -> Biset:
+    """The (left, right)-biset base with (a, b).x = lmap[a] x rmap[b]^-1."""
+    p = direct_product(left, right)
+    mul, inv = base.mul_table, base.inv_table
+    action = []
+    for a in left.elements():
+        row_a = mul[lmap[a]]
+        for b in right.elements():
+            binv = inv[rmap[b]]
+            action.append([mul[row_a[x]][binv] for x in base.elements()])
+    return Biset(left, right, GSet(p, action))
 
 
 def elementary_induction(g: Group, h: Subgroup) -> Biset:
     """The (G, H)-biset G for h <= g: (a, b).x = a x b^-1."""
     if h.parent != g:
         raise NotContainedError("subgroup of a different group")
-    hg = h.as_group()
-    p = direct_product(g, hg)
-    n = g.order
-    action = []
-    for w in p.elements():
-        a, bl = divmod(w, hg.order)
-        binv = g.inv_table[h.members[bl]]
-        action.append([g.mul_table[g.mul_table[a][x]][binv] for x in range(n)])
-    return Biset(g, hg, GSet(p, action))
+    return _biset(g, h.as_group(), g, g.elements(), h.members)
 
 
 def elementary_restriction(g: Group, h: Subgroup) -> Biset:
     """The (H, G)-biset G for h <= g: (a, b).x = a x b^-1 via the inclusion."""
     if h.parent != g:
         raise NotContainedError("subgroup of a different group")
-    hg = h.as_group()
-    p = direct_product(hg, g)
-    n = g.order
-    action = []
-    for w in p.elements():
-        al, b = divmod(w, g.order)
-        ap = h.members[al]
-        binv = g.inv_table[b]
-        action.append([g.mul_table[g.mul_table[ap][x]][binv] for x in range(n)])
-    return Biset(hg, g, GSet(p, action))
+    return _biset(h.as_group(), g, g, h.members, g.elements())
 
 
 def elementary_iso(src: Group, dst: Group, mapping) -> Biset:
@@ -111,15 +103,7 @@ def elementary_iso(src: Group, dst: Group, mapping) -> Biset:
     inverse = [0] * dst.order
     for x, y in enumerate(mapping):
         inverse[y] = x
-    p = direct_product(dst, src)
-    n = src.order
-    action = []
-    for w in p.elements():
-        a, b = divmod(w, src.order)
-        ai = inverse[a]
-        binv = src.inv_table[b]
-        action.append([src.mul_table[src.mul_table[ai][x]][binv] for x in range(n)])
-    return Biset(dst, src, GSet(p, action))
+    return _biset(dst, src, src, inverse, src.elements())
 
 
 def identity_biset(g: Group) -> Biset:
@@ -137,10 +121,8 @@ def compose(u: Biset, v: Biset) -> Biset:
 
     for gmid in mid.generators:
         # x.g = (e_left, g^-1).x on u; g.y = (g, e_right).y on v
-        xu = u.carrier.action[_pair_index(u.left, mid, u.left.identity,
-                                          mid.inv_table[gmid])]
-        yv = v.carrier.action[_pair_index(mid, v.right, gmid,
-                                          v.right.identity)]
+        xu = u.carrier.action[u.left.identity * mid.order + mid.inv_table[gmid]]
+        yv = v.carrier.action[gmid * v.right.order + v.right.identity]
         for x in range(nu):
             xg = xu[x]
             base_xg = xg * nv
@@ -154,8 +136,8 @@ def compose(u: Biset, v: Biset) -> Biset:
     action = []
     for w in p.elements():
         h, k = divmod(w, v.right.order)
-        hu = u.carrier.action[_pair_index(u.left, mid, h, mid.identity)]
-        kv = v.carrier.action[_pair_index(mid, v.right, mid.identity, k)]
+        hu = u.carrier.action[h * mid.order + mid.identity]
+        kv = v.carrier.action[mid.identity * v.right.order + k]
         row = []
         for r in reps:
             x, y = divmod(r, nv)
@@ -177,17 +159,21 @@ def biset_as_gset(u: Biset) -> GSet:
     return u.carrier.rehomed(u.left)
 
 
+def _extend(a: BurnsideElement, target: Group, image) -> BurnsideElement:
+    """Linear extension of [G/H] -> the class of image(G/H), a target-set."""
+    out = BurnsideElement.zero(target, a.ring)
+    for ci, coeff in a.coeffs.items():
+        x = image(transitive_of_class(a.group, ci))
+        out = out.add(BurnsideElement.from_gset(x, a.ring).scale(coeff))
+    return out
+
+
 def apply_biset(u: Biset, a: BurnsideElement) -> BurnsideElement:
     """Functorial action: linear extension of X -> decompose(u o X)."""
     if u.right != a.group:
         raise GroupMismatchError("biset right group must match the element")
-    ring = a.ring
-    out = BurnsideElement.zero(u.left, ring)
-    for ci, coeff in a.coeffs.items():
-        x = transitive_of_class(a.group, ci)
-        w = biset_as_gset(compose(u, gset_as_biset(x)))
-        out = out.add(BurnsideElement.from_gset(w, ring).scale(coeff))
-    return out
+    return _extend(a, u.left,
+                   lambda x: biset_as_gset(compose(u, gset_as_biset(x))))
 
 
 def external_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
@@ -372,22 +358,10 @@ def diagonal_induce(a: BurnsideElement, gg: Group | None = None) -> BurnsideElem
     gg = gg if gg is not None else squared(g)
     delta = diagonal_subgroup(g, gg)
     dg = delta.as_group()
-    ring = a.ring
-    out = BurnsideElement.zero(gg, ring)
-    for ci, coeff in a.coeffs.items():
-        x = transitive_of_class(g, ci).rehomed(dg)
-        ind = induce(x, delta, gg)
-        out = out.add(BurnsideElement.from_gset(ind, ring).scale(coeff))
-    return out
+    return _extend(a, gg, lambda x: induce(x.rehomed(dg), delta, gg))
 
 
 def diagonal_restrict(a: BurnsideElement) -> BurnsideElement:
     """Restrict along Delta(G) = G inside a recorded product G x G."""
     g, delta = _diagonal_of(a.group)
-    ring = a.ring
-    out = BurnsideElement.zero(g, ring)
-    for ci, coeff in a.coeffs.items():
-        x = transitive_of_class(a.group, ci)
-        res = restrict(x, delta).rehomed(g)
-        out = out.add(BurnsideElement.from_gset(res, ring).scale(coeff))
-    return out
+    return _extend(a, g, lambda x: restrict(x, delta).rehomed(g))

@@ -57,16 +57,12 @@ def _error_code(exc) -> str:
     return "E_INTERNAL"
 
 
-def _emit(payload, as_json, text_lines, out):
+def _emit(payload, lines, as_json):
     if as_json:
-        print(json.dumps(payload, separators=(",", ": "), indent=2), file=out)
+        print(json.dumps(payload, separators=(",", ": "), indent=2))
     else:
-        for line in text_lines:
-            print(line, file=out)
-
-
-def _coeff_text(elem) -> str:
-    return elem.render()
+        for line in lines:
+            print(line)
 
 
 def _max_order(args) -> int | None:
@@ -80,12 +76,10 @@ def _max_order(args) -> int | None:
     return None
 
 
-def _group(args):
-    return build_group(args.spec, max_order=_max_order(args))
+# Each handler takes the parsed group, the parsed ring (None for commands
+# without --ring) and the namespace, and returns (JSON payload, text lines).
 
-
-def cmd_group_info(args, out):
-    g = _group(args)
+def cmd_group_info(g, ring, args):
     classes = element_classes(g)
     payload = {
         "command": "group-info",
@@ -104,12 +98,10 @@ def cmd_group_info(args, out):
     ]
     for rep, cls, cz in classes:
         lines.append(f"  rep {rep}: size {len(cls)}, centralizer order {cz.order}")
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
-def cmd_subgroups(args, out):
-    g = _group(args)
+def cmd_subgroups(g, ring, args):
     lat = subgroup_lattice(g)
     triv = trivial_subgroup(g)
     entries = []
@@ -135,12 +127,10 @@ def cmd_subgroups(args, out):
         lines.append(
             f"  {e['label']}: order {e['order']}, class size {e['class_size']}, "
             f"|N_G(H)| {e['normalizer_order']}, mu(1,H) {e['moebius_from_trivial']}")
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
-def cmd_tom(args, out):
-    g = _group(args)
+def cmd_tom(g, ring, args):
     tom = table_of_marks(g)
     payload = {
         "command": "tom",
@@ -153,13 +143,10 @@ def cmd_tom(args, out):
     lines.append("        " + " ".join(f"{l:>{width + 2}}" for l in tom.labels))
     for label, row in zip(tom.labels, tom.matrix):
         lines.append(f"{label:>7} " + " ".join(f"{x:>{width + 2}}" for x in row))
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
-def cmd_idempotents(args, out):
-    g = _group(args)
-    ring = ring_from_spec(args.ring)
+def cmd_idempotents(g, ring, args):
     lat = subgroup_lattice(g)
     idems = idempotent_system(g, ring)
     payload = {
@@ -171,14 +158,11 @@ def cmd_idempotents(args, out):
     }
     lines = [f"primitive idempotents of {g.label} over {ring.spec}"]
     for i, e in enumerate(idems):
-        lines.append(f"  e[{lat.classes[i].label}] = {_coeff_text(e)}")
-    _emit(payload, args.json, lines, out)
-    return 0
+        lines.append(f"  e[{lat.classes[i].label}] = {e.render()}")
+    return payload, lines
 
 
-def cmd_gamma(args, out):
-    g = _group(args)
-    ring = ring_from_spec(args.ring)
+def cmd_gamma(g, ring, args):
     lat = subgroup_lattice(g)
     gam = gamma(g, ring)
     marks = marks_vector(gam)
@@ -191,7 +175,7 @@ def cmd_gamma(args, out):
                   for j in range(lat.class_count)},
     }
     lines = [f"conjugation class of {g.label} over {ring.spec}",
-             f"  gamma = {_coeff_text(gam)}"]
+             f"  gamma = {gam.render()}"]
     if args.invert:
         res = invert(gam)
         if isinstance(res, NotInvertible):
@@ -203,14 +187,12 @@ def cmd_gamma(args, out):
             payload["invertible"] = True
             payload["inverse"] = res.to_json_dict()
             payload["product_check"] = check.to_json_dict()
-            lines.append(f"  inverse = {_coeff_text(res)}")
-            lines.append(f"  gamma * inverse = {_coeff_text(check)}")
-    _emit(payload, args.json, lines, out)
-    return 0
+            lines.append(f"  inverse = {res.render()}")
+            lines.append(f"  gamma * inverse = {check.render()}")
+    return payload, lines
 
 
-def cmd_mackey_check(args, out):
-    g = _group(args)
+def cmd_mackey_check(g, ring, args):
     lat = subgroup_lattice(g)
     gam = gamma(g, ZZ)
     results = []
@@ -232,13 +214,10 @@ def cmd_mackey_check(args, out):
     for r in results:
         lines.append(f"  [{g.label}/{r['label']}]: "
                      f"{'ok' if r['verified'] else 'FAILED'}")
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
-def cmd_separable(args, out):
-    g = _group(args)
-    ring = ring_from_spec(args.ring)
+def cmd_separable(g, ring, args):
     if args.what == "ring":
         verdict = ring_separability(g, ring)
         payload = verdict.to_json_dict("ring-separable", g, ring)
@@ -256,18 +235,15 @@ def cmd_separable(args, out):
         payload = verdict.to_json_dict(g, ring)
         lines = [f"shifted Burnside functor of {g.label} over {ring.spec}: "
                  f"{'separable' if verdict.separable else 'not separable'}"]
-        lines.append(f"  gamma = {_coeff_text(verdict.gamma)}")
+        lines.append(f"  gamma = {verdict.gamma.render()}")
         if verdict.separable:
-            lines.append(f"  gamma inverse = {_coeff_text(verdict.gamma_inverse)}")
+            lines.append(f"  gamma inverse = {verdict.gamma_inverse.render()}")
         else:
             lines.append(f"  obstruction: {verdict.obstruction}")
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
-def cmd_commutant(args, out):
-    g = _group(args)
-    ring = ring_from_spec(args.ring)
+def cmd_commutant(g, ring, args):
     result = commutant_basis(g, ring)
     gg_lat = subgroup_lattice(result.solutions[0].group) if result.solutions else None
     payload = {
@@ -290,14 +266,11 @@ def cmd_commutant(args, out):
     lines.append(f"  equals the span of the diagonal classes: "
                  f"{result.matches_diagonal_span}")
     for s in result.solutions:
-        lines.append(f"  {_coeff_text(s)}")
-    _emit(payload, args.json, lines, out)
-    return 0
+        lines.append(f"  {s.render()}")
+    return payload, lines
 
 
-def cmd_derivations(args, out):
-    g = _group(args)
-    ring = ring_from_spec(args.ring)
+def cmd_derivations(g, ring, args):
     space = derivation_space(g, ring)
     payload = {
         "command": "derivations",
@@ -311,16 +284,10 @@ def cmd_derivations(args, out):
         lines.append("  only the zero derivation")
     else:
         lines.append(f"  spanning set of size {len(space.basis)}")
-        lat = subgroup_lattice(g)
-        for m in space.basis:
-            for i, row in enumerate(m):
-                nz = {lat.classes[j].label: ring.to_str(v)
-                      for j, v in enumerate(row) if not ring.is_zero(v)}
-                if nz:
-                    lines.append(f"    d[{lat.classes[i].label}] -> {nz}")
+        for m in payload["basis"]:
+            lines += [f"    d[{label}] -> {nz}" for label, nz in m.items() if nz]
             lines.append("    --")
-    _emit(payload, args.json, lines, out)
-    return 0
+    return payload, lines
 
 
 def build_parser():
@@ -342,59 +309,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", help="group-level queries")
-    gsub = p.add_subparsers(dest="group_command", required=True)
-    gi = gsub.add_parser("info", parents=[common],
-                         help="order, abelianness, element classes")
-    gi.add_argument("spec")
-    gi.set_defaults(func=cmd_group_info)
+    def command(subparsers, name, func, help, ring=True, what=False):
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        if what:
+            p.add_argument("what", choices=["ring", "functor"])
+        p.add_argument("spec")
+        if ring:
+            p.add_argument("--ring", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("subgroups", parents=[common],
-                       help="subgroup lattice summary")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_subgroups)
-
-    p = sub.add_parser("tom", parents=[common], help="table of marks")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_tom)
-
-    p = sub.add_parser("idempotents", parents=[common],
-                       help="primitive idempotents (|G| a unit)")
-    p.add_argument("spec")
-    p.add_argument("--ring", required=True)
-    p.set_defaults(func=cmd_idempotents)
-
-    p = sub.add_parser("gamma", parents=[common],
-                       help="conjugation class, optionally inverted")
-    p.add_argument("spec")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--invert", action="store_true")
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("mackey-check", parents=[common],
-                       help="verify restrict(induce(x)) = gamma * x on the basis")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_mackey_check)
-
-    p = sub.add_parser("separable", parents=[common],
-                       help="separability verdicts")
-    p.add_argument("what", choices=["ring", "functor"])
-    p.add_argument("spec")
-    p.add_argument("--ring", required=True)
-    p.set_defaults(func=cmd_separable)
-
-    p = sub.add_parser("commutant", parents=[common],
-                       help="solutions of the two-sided diagonal condition")
-    p.add_argument("spec")
-    p.add_argument("--ring", required=True)
-    p.set_defaults(func=cmd_commutant)
-
-    p = sub.add_parser("derivations", parents=[common],
-                       help="derivation space of the algebra")
-    p.add_argument("spec")
-    p.add_argument("--ring", required=True)
-    p.set_defaults(func=cmd_derivations)
-
+    gsub = sub.add_parser("group", help="group-level queries").add_subparsers(
+        dest="group_command", required=True)
+    command(gsub, "info", cmd_group_info,
+            "order, abelianness, element classes", ring=False)
+    command(sub, "subgroups", cmd_subgroups, "subgroup lattice summary",
+            ring=False)
+    command(sub, "tom", cmd_tom, "table of marks", ring=False)
+    command(sub, "idempotents", cmd_idempotents,
+            "primitive idempotents (|G| a unit)")
+    command(sub, "gamma", cmd_gamma,
+            "conjugation class, optionally inverted").add_argument(
+                "--invert", action="store_true")
+    command(sub, "mackey-check", cmd_mackey_check,
+            "verify restrict(induce(x)) = gamma * x on the basis", ring=False)
+    command(sub, "separable", cmd_separable, "separability verdicts", what=True)
+    command(sub, "commutant", cmd_commutant,
+            "solutions of the two-sided diagonal condition")
+    command(sub, "derivations", cmd_derivations,
+            "derivation space of the algebra")
     return parser
 
 
@@ -408,7 +351,11 @@ def main(argv=None) -> int:
     if not hasattr(args, "max_order"):
         args.max_order = None
     try:
-        return args.func(args, sys.stdout)
+        # the group is parsed before the ring, so a bad pair reports the group
+        g = build_group(args.spec, max_order=_max_order(args))
+        ring = ring_from_spec(args.ring) if hasattr(args, "ring") else None
+        _emit(*args.func(g, ring, args), args.json)
+        return 0
     except errors.BurnsideError as exc:
         print(f"{_error_code(exc)}: {exc}", file=sys.stderr)
         return 2

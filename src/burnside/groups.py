@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -647,6 +648,11 @@ def direct_product(g: Group, h: Group) -> Group:
 
 
 def squared(g: Group) -> Group:
+    """G x G; a base whose square exceeds the order bound is a resource cap."""
+    if g.order * g.order > MAX_GROUP_ORDER:
+        raise ResourceBoundError(
+            f"G x G computations are capped at base order "
+            f"{math.isqrt(MAX_GROUP_ORDER)}, since |G x G| <= {MAX_GROUP_ORDER}")
     return direct_product(g, g)
 
 
@@ -823,7 +829,11 @@ def build_group(spec: str, max_order: int | None = None) -> Group:
     n <= 5) | ``Q8`` | ``perm:<cycles>;<cycles>;...`` |
     ``prod(<spec>,<spec>)``.
     """
-    g = _build_spec(spec.strip())
+    try:
+        g = _build_spec(spec.strip())
+    except RecursionError:
+        # each prod( level is one frame of _build_spec
+        raise ParseError("group spec is nested too deeply") from None
     bound = MAX_GROUP_ORDER if max_order is None else min(max_order, MAX_GROUP_ORDER)
     if g.order > bound:
         raise OrderBoundError(

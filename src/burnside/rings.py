@@ -25,14 +25,8 @@ class IntegerRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     @property
     def zero(self):
@@ -67,14 +61,8 @@ class RationalRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     @property
     def zero(self):
@@ -117,14 +105,8 @@ class ModularRing:
     def add(self, a, b):
         return (a + b) % self.m
 
-    def sub(self, a, b):
-        return (a - b) % self.m
-
     def mul(self, a, b):
         return (a * b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
 
     @property
     def zero(self):
@@ -524,16 +506,14 @@ class NoSolution:
     certificate: dict
 
 
-def solve_linear(a: Matrix, b, ring=None):
+def solve_linear(a: Matrix, b):
     """Solve a*x = b over the matrix ring; returns Solution or NoSolution.
 
     Over every ring the deduplicated rows go to the sparse elimination
     with [b_i] as the carried block, so U*b comes back without U: Smith
     form over Z, diagonalization mod m over Z/m, Gauss-Jordan over Q.
     """
-    ring = ring or a.ring
-    if ring != a.ring:
-        raise DimensionMismatchError("matrix/ring mismatch")
+    ring = a.ring
     b = [ring.from_int(x) for x in b]
     if len(b) != a.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")

@@ -37,7 +37,6 @@ solutions are exactly the span of the diagonal classes [GG/Delta(L)].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .algebra import (
     BurnsideElement,
@@ -57,11 +56,9 @@ from .errors import (
     GroupMismatchError,
     InternalInconsistencyError,
     NotInvertibleError,
-    ResourceBoundError,
     RingMismatchError,
 )
 from .groups import (
-    MAX_GROUP_ORDER,
     Group,
     centralizer_of_subgroup,
     element_classes,
@@ -88,11 +85,6 @@ class TensorElement:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GroupMismatchError("tensor matrix must be classes x classes")
         self.matrix = rows
-
-    @classmethod
-    def zero(cls, group, ring):
-        n = subgroup_lattice(group).class_count
-        return cls(group, ring, [[ring.zero] * n for _ in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -481,12 +473,8 @@ def commutant_basis(g: Group, ring) -> CommutantResult:
     which are found coordinate by coordinate with no G^3 or G-set built.
     The solution set is compared against the span of the diagonal
     classes [GG/Delta(L)].  Only |G x G| <= MAX_GROUP_ORDER bounds the
-    base group.
+    base group; ``squared`` raises ResourceBoundError beyond it.
     """
-    if g.order * g.order > MAX_GROUP_ORDER:
-        raise ResourceBoundError(
-            f"commutant computation capped at base order "
-            f"{isqrt(MAX_GROUP_ORDER)}, since |G x G| <= {MAX_GROUP_ORDER}")
     gg = squared(g)
     return _commutant_from_clusters(g, gg, ring, _stabilizer_clusters(g, gg))
 

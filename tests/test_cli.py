@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
@@ -206,8 +208,15 @@ def test_error_codes(capsys):
     code, _, err = run_cli(capsys, "separable", "ring", "C2", "--ring", "GF(9)")
     assert code == 2 and err.startswith("E_PARSE:")
 
-    code, _, err = run_cli(capsys, "commutant", "D16", "--ring", "Q")
-    assert code == 2 and err.startswith("E_RESOURCE:")
+    # one bound on G x G for every command that builds it
+    for argv in (("commutant", "D16", "--ring", "Q"), ("mackey-check", "D16")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("E_RESOURCE:"), argv
+
+    # nesting deeper than the parser's recursion is a parse error
+    deep = "prod(C1," * 1200 + "C1" + ")" * 1200
+    code, out, err = run_cli(capsys, "tom", deep)
+    assert code == 2 and out == "" and err.startswith("E_PARSE:")
 
     # only ASCII digits are numbers: Unicode digits are parse errors, not
     # internal errors, and are never read as their ASCII counterparts
@@ -238,6 +247,93 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "tom", "S3", "--max-order", bad)
         assert code == 2 and out == "", bad
         assert err.startswith("E_PARSE:") and err.count("\n") == 1, (bad, err)
+
+
+TEXT_ARGV = (
+    "group info S3", "subgroups D8", "tom S3", "idempotents S3 --ring Q",
+    "gamma S3 --ring Q --invert", "gamma S3 --ring Z/6 --invert",
+    "mackey-check prod(C2,C2)", "separable ring S3 --ring Z",
+    "separable ring S3 --ring Z/5", "separable functor S3 --ring Z/6",
+    "separable functor S3 --ring Q", "commutant C3 --ring Q",
+    "derivations C2 --ring Z/2",
+)
+
+
+def test_text_output_bytes(capsys):
+    # one command of each kind, both verdicts where the ring decides them;
+    # pinned before the commands shared one parse-and-emit path
+    out = []
+    for line in TEXT_ARGV:
+        code, text, err = run_cli(capsys, *line.split())
+        assert code == 0 and err == "", line
+        out.append(text)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == ("d15c749fb6f0da23bd2c7fb5339ef599"
+                      "f87b940df410dc54da44a9a470d17ccd")
+
+
+# Well-formed specs, and specs broken in one place: a bad atom or cycle, or
+# a prod( with one argument or no closing parenthesis.  A well-formed spec
+# has at most two factors besides C1, of order at most 6, so no query
+# reaches the groups of order 16 to 24 (C2 x D8, say) that take minutes.
+_ATOMS = st.sampled_from(("C1", "C2", "C3", "C4", "S3", " C2 "))
+_BAD_ATOMS = st.sampled_from(("D2", "D5", "C0", "D3", "S6", "Q9", "C\u0663",
+                              "S\u00b2", "D", "", "nope"))
+
+
+def _perm(points, min_size, cycles):
+    cycle = st.lists(st.sampled_from(points), min_size=min_size, max_size=4,
+                     unique=min_size > 0).map(lambda pts: "(" + " ".join(pts) + ")")
+    gens = st.lists(st.lists(cycle, min_size=1, max_size=cycles).map("".join),
+                    min_size=1, max_size=2)
+    return gens.map(lambda g: "perm:" + ";".join(g))
+
+
+def _prod(left, right):
+    return st.tuples(left, right).map(lambda t: f"prod({t[0]},{t[1]})")
+
+
+_GOOD_SPEC = st.recursive(
+    _ATOMS | _perm("123", 2, 1),
+    lambda inner: _prod(inner, inner) | inner.map(lambda x: f"prod(C1,{x})"),
+    max_leaves=2)
+_BAD_LEAF = _BAD_ATOMS | _perm(("1", "2", "0", "\u0662", "x", "-1"), 0, 2)
+_SPEC = st.one_of(
+    _GOOD_SPEC, st.sampled_from(("Q8", "D8", "perm:(1 2 3 4);(1 2)")),
+    _BAD_LEAF, _prod(_GOOD_SPEC, _BAD_LEAF),
+    _GOOD_SPEC.map(lambda x: f"prod({x}"), _GOOD_SPEC.map(lambda x: f"prod({x})"))
+_RINGS = st.sampled_from(("Z", "Q", "Z/2", "Z/3", "Z/6", "Z/1", "Z/0", "Z/-2",
+                          "Z/\u0663", "Z/\u00b2", "GF(9)", "", "z"))
+# (words before the spec, takes --ring, words after the ring)
+_COMMANDS = (
+    (("group", "info"), False, ()), (("subgroups",), False, ()),
+    (("tom",), False, ()), (("mackey-check",), False, ()),
+    (("idempotents",), True, ()), (("gamma",), True, ()),
+    (("gamma",), True, ("--invert",)), (("separable", "ring"), True, ()),
+    (("separable", "functor"), True, ()), (("commutant",), True, ()),
+    (("derivations",), True, ()),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(_COMMANDS), spec=_SPEC,
+       ring=_RINGS, as_json=st.booleans())
+def test_fuzz_exit_codes(capsys, command, spec, ring, as_json):
+    head, takes_ring, tail = command
+    argv = [*head, spec, *(("--ring", ring) if takes_ring else ()), *tail,
+            "--max-order", "24", *(("--json",) if as_json else ())]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), argv
+    assert "E_INTERNAL" not in err, (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("E_") and err.count("\n") == 1, argv
+        return
+    assert err == "", argv
+    if as_json:
+        json.loads(out)
+    else:
+        assert out, argv
 
 
 def test_global_flags_accepted_before_subcommand(capsys):
