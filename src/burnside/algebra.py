@@ -15,13 +15,15 @@ cache, so ``multiply``, ``mult_matrix``, ``structure_constants``,
 product (tensor actions, Casimir and Leibniz systems, inversion) is
 read from it.  ``lift`` and ``lower`` are the one way into and out of
 the integers, the tensor code's included; a value that is not integral
-over Z or Z/m is refused, never truncated.  The primitive idempotents
-(for invertible group order) and unit testing live here too.
+over Z, or whose denominator is not a unit mod m over Z/m, is refused,
+never truncated.  The primitive idempotents (for invertible group order)
+and unit testing live here too.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
 units (Dress's description of the prime ideals of B(G)), so ``invert``
-checks the marks and then solves a*x = [G/G] once over the element's
-own ring.
+checks the marks and then inverts them in the ghost ring: the inverted
+marks, scaled to integers, come back through ``unghost`` and are lowered
+into the element's own ring.  No linear system is solved.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .groups import Group, subgroup_lattice
 from .gsets import GSet, decompose, transitive
-from .rings import QQ, Matrix, Solution, solve_linear
+from .rings import QQ
 
 
 def transitive_of_class(g: Group, ci: int) -> GSet:
@@ -83,10 +85,24 @@ def lift(ring, values) -> tuple:
 
 
 def lower(ring, values, d) -> list:
-    """Integers over the denominator d back in the ring."""
+    """Integers over the denominator d back in the ring.
+
+    Over Q the fractions are kept.  Over Z and Z/m each fraction v/d is
+    reduced and its numerator multiplied by the ring inverse of its
+    denominator; a denominator that is not a unit (any but 1 over Z, one
+    not prime to m over Z/m) raises RingMismatchError rather than being
+    truncated.
+    """
     if ring == QQ:
         return [Fraction(v, d) for v in values]
-    return list(map(ring.from_int, values))
+    if d == 1:  # the common case, with nothing to divide
+        return list(map(ring.from_int, values))
+    fracs = [Fraction(v, d) for v in values]
+    for f in fracs:
+        if not ring.is_unit(ring.from_int(f.denominator)):
+            raise RingMismatchError(f"denominator of {f} is not a unit in {ring.spec}")
+    return [ring.mul(f.numerator, ring.inv(ring.from_int(f.denominator)))
+            for f in fracs]
 
 
 def _ghost(a) -> tuple:
@@ -142,12 +158,8 @@ class BurnsideElement:
     def __init__(self, group: Group, ring, coeffs: dict):
         self.group = group
         self.ring = ring
-        clean = {}
-        for k in sorted(coeffs):
-            v = coeffs[k]
-            if not ring.is_zero(v):
-                clean[k] = v
-        self.coeffs = clean
+        self.coeffs = {k: coeffs[k] for k in sorted(coeffs)
+                       if not ring.is_zero(coeffs[k])}
 
     @classmethod
     def zero(cls, group, ring):
@@ -212,10 +224,8 @@ class BurnsideElement:
         if not self.coeffs:
             return "0"
         lat = subgroup_lattice(self.group)
-        terms = []
-        for k, v in sorted(self.coeffs.items()):
-            terms.append(f"{self.ring.to_str(v)}*[G/{lat.classes[k].label}]")
-        return " + ".join(terms)
+        return " + ".join(f"{self.ring.to_str(v)}*[G/{lat.classes[k].label}]"
+                          for k, v in sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"BurnsideElement({self.group.label}; {self.ring.spec}; {self.render()})"
@@ -311,25 +321,33 @@ def invert(a: BurnsideElement):
     Over Z, Q and Z/m, a is a unit exactly when every mark of a is a unit
     (Dress, 1969: the prime ideals of B(G) are pulled back from the marks),
     so a non-unit mark is the only failure and its NotInvertible outcome
-    is definitive.  Otherwise the inverse is the solution of one exact
-    system a*x = [G/G] over a's own ring, checked by multiplying back.
+    is definitive.  Otherwise the inverse has the inverted marks.  With
+    (v, d) the ghost of a and D = |G| * lcm |v_K|, the integers D*d/v_K
+    are the marks of D times the inverse, and they lie in the image of
+    B(G) because |G| * Z^n does (|N_G(H)| e_H is integral).  So unghost
+    gives D times the inverse exactly, and ``lower`` divides by D in a's
+    ring.  Over Z the marks are +-1 and the quotient is integral.  Over
+    Z/m the integer lift of a has marks prime to m, so it is a unit of
+    B(G) localised at each prime dividing m and its rational inverse has
+    denominators prime to m, even when m and |G| share a factor; any
+    other denominator is an internal inconsistency.  The result is
+    checked by multiplying back.
     """
-    g = a.group
-    ring = a.ring
+    g, ring = a.group, a.ring
     lat = subgroup_lattice(g)
-    ms = marks_vector(a)
-    for j, m in enumerate(ms):
+    v, d = _ghost(a)
+    for j, m in enumerate(lower(ring, v, d)):
         if not ring.is_unit(m):
             return NotInvertible(
                 "non_unit_mark",
                 f"mark at {lat.classes[j].label} is {ring.to_str(m)}")
-    one = identity_element(g, ring)
-    rhs = [one.coeffs.get(l, ring.zero) for l in range(lat.class_count)]
-    res = solve_linear(Matrix.from_rows(ring, mult_matrix(a)), rhs)
-    if not isinstance(res, Solution):
+    den = g.order * lcm(*v)
+    y = unghost(lat, [den * d // m for m in v])
+    try:
+        cand = BurnsideElement(g, ring, dict(enumerate(lower(ring, y, den))))
+    except RingMismatchError:
         raise InternalInconsistencyError(
-            "all marks are units but a*x = [G/G] has no solution")
-    cand = BurnsideElement(g, ring, dict(enumerate(res.particular)))
-    if multiply(a, cand) != one:
-        raise InternalInconsistencyError("solved inverse fails the product check")
+            "the inverse has a denominator that is not a unit") from None
+    if multiply(a, cand) != identity_element(g, ring):
+        raise InternalInconsistencyError("inverse fails the product check")
     return cand

@@ -78,6 +78,8 @@ def _max_order(args) -> int | None:
 
 # Each handler takes the parsed group, the parsed ring (None for commands
 # without --ring) and the namespace, and returns (JSON payload, text lines).
+# The lines may be a generator: only text output consumes them, so a large
+# table is never formatted for --json.
 
 def cmd_group_info(g, ring, args):
     classes = element_classes(g)
@@ -121,13 +123,15 @@ def cmd_subgroups(g, ring, args):
         "subgroup_count": len(lat.subgroups),
         "classes": entries,
     }
-    lines = [f"group {g.label}: {len(lat.subgroups)} subgroups, "
-             f"{lat.class_count} conjugacy classes"]
-    for e in entries:
-        lines.append(
-            f"  {e['label']}: order {e['order']}, class size {e['class_size']}, "
-            f"|N_G(H)| {e['normalizer_order']}, mu(1,H) {e['moebius_from_trivial']}")
-    return payload, lines
+
+    def lines():
+        yield (f"group {g.label}: {len(lat.subgroups)} subgroups, "
+               f"{lat.class_count} conjugacy classes")
+        for e in entries:
+            yield (f"  {e['label']}: order {e['order']}, class size "
+                   f"{e['class_size']}, |N_G(H)| {e['normalizer_order']}, "
+                   f"mu(1,H) {e['moebius_from_trivial']}")
+    return payload, lines()
 
 
 def cmd_tom(g, ring, args):
@@ -138,12 +142,14 @@ def cmd_tom(g, ring, args):
         "labels": list(tom.labels),
         "matrix": [list(row) for row in tom.matrix],
     }
-    width = max(len(str(x)) for row in tom.matrix for x in row)
-    lines = [f"table of marks of {g.label} (rows [G/H], columns K)"]
-    lines.append("        " + " ".join(f"{l:>{width + 2}}" for l in tom.labels))
-    for label, row in zip(tom.labels, tom.matrix):
-        lines.append(f"{label:>7} " + " ".join(f"{x:>{width + 2}}" for x in row))
-    return payload, lines
+
+    def lines():
+        width = max(len(str(x)) for row in tom.matrix for x in row)
+        yield f"table of marks of {g.label} (rows [G/H], columns K)"
+        yield "        " + " ".join(f"{l:>{width + 2}}" for l in tom.labels)
+        for label, row in zip(tom.labels, tom.matrix):
+            yield f"{label:>7} " + " ".join(f"{x:>{width + 2}}" for x in row)
+    return payload, lines()
 
 
 def cmd_idempotents(g, ring, args):

@@ -411,14 +411,23 @@ class SubgroupLattice:
         |(G/H)^K| = |N_G(H):H| * #{H' in cl(H) : K <= H'}, since
         |N_G(H):H| = |G| / (|H| |cl(H)|).  Classes are sorted by order, so
         the table is lower triangular with |N_G(H_i):H_i| on the diagonal.
+        Subgroups are sorted by order too, so a column rep K at subgroup
+        index r is contained only in subgroups from r on; those are walked
+        once and counted per class.
         """
-        reps = [self.class_rep(j).mask for j in range(self.class_count)]
+        masks, n = [s.mask for s in self.subgroups], self.class_count
+        cols = []
+        for c in self.classes:
+            k, count = masks[c.rep_index], [0] * n
+            for m, ci in zip(masks[c.rep_index:], self.class_of[c.rep_index:]):
+                if m & k == k:
+                    count[ci] += 1
+            cols.append(count)
         rows = []
         for i, c in enumerate(self.classes):
-            masks = [self.subgroups[s].mask for s in c.member_indices]
-            scale = self.group.order // (self.class_rep(i).order * len(masks))
-            rows.append(tuple(scale * sum(m & k == k for m in masks)
-                              for k in reps))
+            scale = self.group.order // (self.class_rep(i).order
+                                         * len(c.member_indices))
+            rows.append(tuple(scale * col[i] for col in cols))
         return tuple(rows)
 
     @functools.cached_property

@@ -541,9 +541,8 @@ def _solve_rational(rows, ncols, carry):
     deduplicated rows, is the ``rank_mismatch`` certificate, so which row
     is reported depends on the pivot rule, which decides the rows left
     live.  No command
-    reaches it: over Q ``separable ring`` is always positive, ``invert``
-    checks the marks first, and the commutant and derivation systems are
-    homogeneous.
+    reaches it: over Q ``separable ring`` is always positive, and the
+    commutant and derivation systems are homogeneous.
     """
     e = _Elimination(rows, ncols, carry)
     pivot_col = {}  # pivot row id -> its column

@@ -9,7 +9,7 @@ Three decision procedures, each with a constructive certificate:
 * ``functor_separability``: the shifted Burnside functor attached to G is
   separable exactly when |G| is a unit; the witness is an inverse of the
   conjugation class, and the inverse built from the idempotents must
-  agree with the one ``invert`` solves for.
+  agree with the one ``invert`` reads off the inverted marks.
 * ``derivation_space``: the module of derivations of the Burnside algebra
   (equal to first Hochschild cohomology, since inner derivations vanish
   for a commutative algebra acting on itself), solved as the kernel of
@@ -323,7 +323,9 @@ def functor_separability(g: Group, ring) -> FunctorVerdict:
 
     Decided by invertibility of the conjugation class; when |G| is a
     unit, the explicit inverse sum over |C_G(H)|^-1 e_H must agree with
-    the inverse that ``invert`` solves for, an independent second route.
+    the inverse that ``invert`` computes in the ghost ring.  The sum is
+    an independent second route: the idempotents come from Moebius
+    values, not from back-substitution through the table of marks.
     """
     gam = gamma(g, ring)
     res = invert(gam)

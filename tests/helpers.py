@@ -102,6 +102,19 @@ def moebius_by_zeta_inverse(lat):
     return inv  # inv[k][h] = moebius(K, H) for K <= H
 
 
+def marks_by_class_masks(lat):
+    """The table of marks by testing every class member against every
+    column rep: |N_G(H):H| * #{H' in cl(H) : K <= H'}."""
+    reps = [lat.class_rep(j).mask for j in range(lat.class_count)]
+    rows = []
+    for i, c in enumerate(lat.classes):
+        masks = [lat.subgroups[s].mask for s in c.member_indices]
+        scale = lat.group.order // (lat.class_rep(i).order * len(masks))
+        rows.append(tuple(scale * sum(m & k == k for m in masks)
+                          for k in reps))
+    return tuple(rows)
+
+
 def bareiss_det(a):
     """Exact integer determinant by fraction-free elimination."""
     m = [row[:] for row in a]

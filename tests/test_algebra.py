@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from burnside.algebra import (
     BurnsideElement,
@@ -10,6 +13,7 @@ from burnside.algebra import (
     idempotent,
     idempotent_system,
     invert,
+    lower,
     mark,
     marks_vector,
     mult_matrix,
@@ -117,6 +121,21 @@ def test_non_integral_coefficient_is_refused_not_truncated(ring):
     # an integral Fraction is the integer it equals
     two = BurnsideElement(s3, ring, {0: Fraction(4, 2)})
     assert multiply(two, one) == BurnsideElement.basis(s3, ring, 0).scale(2)
+
+
+def test_lower_honours_the_denominator():
+    assert lower(QQ, [6, -4, 3], 4) == [Fraction(3, 2), -1, Fraction(3, 4)]
+    assert lower(ZZ, [6, -4, 0], 2) == [3, -2, 0]
+    assert lower(Zmod(7), [1, 3, -2], 2) == [4, 5, 6]
+    # each fraction is reduced first: 6/4 = 3/2, and 9/3 = 3 over Z/6
+    assert lower(Zmod(5), [6], 4) == [4]
+    assert lower(Zmod(6), [9, 15], 3) == [3, 5]
+    for ring, values, d in ((ZZ, [1], 2), (ZZ, [4, 3], 2), (Zmod(6), [1], 2),
+                            (Zmod(6), [2], 4), (Zmod(4), [5], 6)):
+        with pytest.raises(RingMismatchError):
+            lower(ring, values, d)
+    # d = 1, which every product passes off Q, is reduction into the ring
+    assert lower(Zmod(6), [7, -1], 1) == [1, 5]
 
 
 @pytest.mark.parametrize("spec", TEST_SPECS)
@@ -334,16 +353,37 @@ def _invert_by_linear_solve(a):
     return None
 
 
-@pytest.mark.parametrize("spec", ["C2", "C3", "S3", "prod(C2,C2)"])
+def _is_unit(a):
+    return all(a.ring.is_unit(m) for m in marks_vector(a))
+
+
+@pytest.mark.parametrize("spec", ["C2", "C3", "S3", "prod(C2,C2)", "D8", "S4"])
 def test_invert_agrees_with_direct_solve(spec):
     g = build_group(spec)
     lat = subgroup_lattice(g)
+    n = lat.class_count
+    rng = random.Random(spec)
     elements = []
-    for ring in (ZZ, QQ, Zmod(4), Zmod(5), Zmod(6), Zmod(7)):
+    for ring in (ZZ, QQ, Zmod(2), Zmod(3), Zmod(4), Zmod(5), Zmod(6), Zmod(7),
+                 Zmod(8), Zmod(12)):
+        one = identity_element(g, ring)
+        free = BurnsideElement.basis(g, ring, 0)
         elements.append(gamma(g, ring))
-        elements.append(identity_element(g, ring).scale(ring.from_int(2)))
-        elements.append(identity_element(g, ring).sub(
-            BurnsideElement.basis(g, ring, 0)))
+        elements.append(one.scale(ring.from_int(2)))
+        elements.append(one.sub(free))
+        # [G/G] + k[G/1] has marks 1 + k|G| at 1 and 1 elsewhere, so it is
+        # a unit mod m whenever 1 + k|G| is, even when m and |G| share a
+        # prime: the case where the rational inverse has denominators
+        # that are inverted mod m
+        elements += [one.add(free.scale(ring.from_int(k))) for k in (1, 2, 3)]
+        draws = (BurnsideElement(g, ring, {i: ring.from_int(rng.randint(-3, 3))
+                                           for i in range(n)})
+                 for _ in range(200))
+        elements += [a for a in draws if _is_unit(a)][:3]
+    # enough non-scalar units over Z/2, Z/8 and Z/12, which share a prime
+    # with |G| for every group here but C3
+    assert sum(not a.coeffs.keys() <= {n - 1} and _is_unit(a)
+               for a in elements if a.ring.spec in ("Z/2", "Z/8", "Z/12")) >= 5
     for a in elements:
         inverse = invert(a)
         solve_route = _invert_by_linear_solve(a)
@@ -383,6 +423,74 @@ def test_invert_exhaustive_against_brute_force(spec, m):
             assert multiply(a, got) == one
         else:
             assert isinstance(got, NotInvertible)
+
+
+def test_invert_never_solves_a_linear_system(monkeypatch):
+    import burnside.algebra
+    import burnside.rings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invert reached the linear solver")
+
+    assert not hasattr(burnside.algebra, "solve_linear")
+    for name in ("solve_linear", "_solve_rational", "_snf_int",
+                 "_diagonalize_mod"):
+        monkeypatch.setattr(burnside.rings, name, refuse)
+    for spec in ("prod(C2,C2)", "D8", "S4"):
+        g = build_group(spec)
+        for ring in (ZZ, QQ, Zmod(5), Zmod(8), Zmod(12)):
+            one = identity_element(g, ring)
+            for a in (gamma(g, ring), one.scale(ring.from_int(3)),
+                      one.add(BurnsideElement.basis(g, ring, 0))):
+                res = invert(a)
+                assert isinstance(res, (BurnsideElement, NotInvertible))
+                if isinstance(res, BurnsideElement):
+                    assert multiply(a, res) == one
+
+
+# groups up to order 24, several with order sharing primes with the modulus
+ROUND_TRIP_SPECS = ("C1", "C2", "C4", "C6", "prod(C2,C2)", "S3", "D8", "Q8",
+                    "D12", "prod(C2,prod(C2,C2))", "prod(C2,S3)",
+                    "prod(C3,C3)", "C12", "D16", "prod(C4,C4)", "S4", "D24",
+                    "prod(C2,C12)")
+
+
+def _unit_part(a):
+    """a*e + [G/G] - e with e = a^phi(m): a unit of B(G) over Z/m.
+
+    Mark by mark and prime power p^k | m, x^phi(m) is 1 when p does not
+    divide x and 0 when it does (phi(m) >= k), so e is an idempotent that
+    keeps the unit marks of a and puts 1 in place of the others.
+    """
+    m = a.ring.m
+    one = identity_element(a.group, a.ring)
+    e = one
+    for _ in range(sum(gcd(k, m) == 1 for k in range(1, m))):
+        e = multiply(e, a)
+    return multiply(a, e).add(one).sub(e)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(spec=st.sampled_from(ROUND_TRIP_SPECS),
+       m=st.sampled_from((0,) + tuple(range(2, 31))),
+       seed=st.integers(0, 2**32 - 1))
+def test_invert_round_trip_on_random_units(spec, m, seed):
+    g = build_group(spec)
+    n = subgroup_lattice(g).class_count
+    rng = random.Random(seed)
+    if m == 0:  # over Q a random element is a unit unless a mark vanishes
+        a = BurnsideElement(g, QQ, {i: Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 9))
+                                    for i in range(n)})
+        assume(_is_unit(a))
+    else:
+        a = _unit_part(BurnsideElement(
+            g, Zmod(m), {i: rng.randrange(m) for i in range(n)
+                         if rng.random() < 0.5}))
+        assert _is_unit(a)
+    inverse = invert(a)
+    assert multiply(a, inverse) == identity_element(g, a.ring)
+    assert marks_vector(inverse) == [a.ring.inv(x) for x in marks_vector(a)]
 
 
 def test_element_json_roundtrip_shape():

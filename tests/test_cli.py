@@ -272,6 +272,20 @@ def test_text_output_bytes(capsys):
                       "f87b940df410dc54da44a9a470d17ccd")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("tom S4",
+     "23f4d3266f3656dc44e527cd77de2b098a7467195fbbdf99f8b929555bfe588e"),
+    ("subgroups prod(S3,S3)",
+     "52a7ad191b29db479d0f670ff8637d609d3b8b3acca46fc8e8533f54fdfb52c8"),
+])
+def test_lazy_table_text_bytes(capsys, argv, digest):
+    # the text lines of tom and subgroups are built only for text output;
+    # the digests are those of the eagerly built lines they replaced
+    code, text, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # Well-formed specs, and specs broken in one place: a bad atom or cycle, or
 # a prod( with one argument or no closing parenthesis.  A well-formed spec
 # has at most two factors besides C1, of order at most 6, so no query

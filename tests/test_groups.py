@@ -32,6 +32,7 @@ from helpers import (
     assoc_holds_everywhere,
     generated_subgroup,
     generating_set,
+    marks_by_class_masks,
     moebius_by_zeta_inverse,
     subgroups_by_powerset,
 )
@@ -372,6 +373,15 @@ def test_lattice_layout_is_pinned(spec, digest):
     layout = [[list(s.members) for s in lat.subgroups], lat.labels(),
               [c.rep_index for c in lat.classes], list(lat.class_of)]
     assert hashlib.sha256(json.dumps(layout).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", C2_5, "prod(S4,C2)",
+                                  A5, "prod(D8,S3)", "prod(C3,S4)", "prod(D8,D8)"])
+def test_marks_match_class_mask_oracle(spec):
+    # the lattice-ladder groups: the supergroup walk against the formula it
+    # replaced, which tests every class member against every column rep
+    lat = subgroup_lattice(build_group(spec))
+    assert lat.marks == marks_by_class_masks(lat)
 
 
 def test_lattice_cap_is_checked_during_enumeration():
