@@ -29,9 +29,7 @@ from .bisets import diagonal_induce, diagonal_restrict, gamma
 from .groups import (
     build_group,
     element_classes,
-    moebius,
     subgroup_lattice,
-    trivial_subgroup,
 )
 from .rings import ZZ, ring_from_spec
 from .separability import (
@@ -40,22 +38,6 @@ from .separability import (
     functor_separability,
     ring_separability,
 )
-
-_ERROR_CODES = (
-    (errors.ParseError, "E_PARSE"),
-    (errors.BadLabelError, "E_PARSE"),
-    (errors.OrderBoundError, "E_ORDER_BOUND"),
-    (errors.NotInvertibleError, "E_RING"),
-    (errors.ResourceBoundError, "E_RESOURCE"),
-)
-
-
-def _error_code(exc) -> str:
-    for klass, code in _ERROR_CODES:
-        if isinstance(exc, klass):
-            return code
-    return "E_INTERNAL"
-
 
 def _emit(payload, lines, as_json):
     if as_json:
@@ -105,7 +87,6 @@ def cmd_group_info(g, ring, args):
 
 def cmd_subgroups(g, ring, args):
     lat = subgroup_lattice(g)
-    triv = trivial_subgroup(g)
     entries = []
     for ci, cls in enumerate(lat.classes):
         rep = lat.class_rep(ci)
@@ -115,7 +96,8 @@ def cmd_subgroups(g, ring, args):
             "class_size": len(cls.member_indices),
             "representative": list(rep.members),
             "normalizer_order": g.order // len(cls.member_indices),
-            "moebius_from_trivial": moebius(lat, triv, rep),
+            # subgroups are sorted by order, so subgroup 0 is the trivial one
+            "moebius_from_trivial": lat.moebius_by_index(0, cls.rep_index),
         })
     payload = {
         "command": "subgroups",
@@ -363,7 +345,7 @@ def main(argv=None) -> int:
         _emit(*args.func(g, ring, args), args.json)
         return 0
     except errors.BurnsideError as exc:
-        print(f"{_error_code(exc)}: {exc}", file=sys.stderr)
+        print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"E_INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,15 +2,24 @@
 
 
 class BurnsideError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``code`` is the ``E_*`` code the command line reports it under.
+    """
+
+    code = "E_INTERNAL"
 
 
 class ParseError(BurnsideError):
     """Bad group-spec or ring-spec grammar."""
 
+    code = "E_PARSE"
+
 
 class OrderBoundError(BurnsideError):
     """A construction would exceed the hard group-order bound."""
+
+    code = "E_ORDER_BOUND"
 
 
 class NotAGroupError(BurnsideError):
@@ -36,9 +45,13 @@ class RingMismatchError(MismatchError):
 class BadLabelError(BurnsideError):
     """Unknown subgroup-class label."""
 
+    code = "E_PARSE"
+
 
 class NotInvertibleError(BurnsideError):
     """A required quantity is not a unit in the coefficient ring."""
+
+    code = "E_RING"
 
 
 class DimensionMismatchError(BurnsideError):
@@ -47,6 +60,8 @@ class DimensionMismatchError(BurnsideError):
 
 class ResourceBoundError(BurnsideError):
     """An internal enumeration cap was exceeded."""
+
+    code = "E_RESOURCE"
 
 
 class NotAProductGroupError(BurnsideError):

@@ -459,7 +459,7 @@ def union_find(size: int):
     return find, union
 
 
-def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
+def subgroup_lattice(g: Group) -> SubgroupLattice:
     """Enumerate all subgroups of g with their conjugacy classes.
 
     Enumeration is by cyclic extension (Neubueser; Pfeiffer 1997): starting
@@ -469,10 +469,9 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
     conjugates of a zuppo are zuppos, so this reaches every class, perfect
     subgroups included.  A join not seen before brings in its whole
     conjugation orbit, which is its class.  ResourceBoundError is raised as
-    soon as more than cap subgroups are found.  The result is kept in an
-    LRU of the LATTICE_CACHE_SIZE most recent groups.
+    soon as more than DEFAULT_SUBGROUP_CAP subgroups are found.  The result
+    is kept in an LRU of the LATTICE_CACHE_SIZE most recent groups.
     """
-    cap = DEFAULT_SUBGROUP_CAP if cap is None else cap
     with _LOCK:
         # one lookup: an equal group compares its whole multiplication table
         lat = _LATTICE_CACHE.pop(g, None)
@@ -506,8 +505,9 @@ def subgroup_lattice(g: Group, cap: int | None = None) -> SubgroupLattice:
                         orbit_of[cmask] = len(reps)
                         orbit.append(c)
             reps.append(k)
-            if len(orbit_of) > cap:
-                raise ResourceBoundError(f"more than {cap} subgroups in {g.label}")
+            if len(orbit_of) > DEFAULT_SUBGROUP_CAP:
+                raise ResourceBoundError(
+                    f"more than {DEFAULT_SUBGROUP_CAP} subgroups in {g.label}")
 
     subs = sorted((tuple(x for x in g.elements() if m >> x & 1)
                    for m in orbit_of), key=lambda s: (len(s), s))

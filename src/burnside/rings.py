@@ -157,11 +157,6 @@ def ring_from_spec(spec: str):
     raise ParseError(f"unknown ring spec {spec!r} (expected Z, Q or Z/<m>)")
 
 
-def is_unit(a, ring) -> bool:
-    """Unit test for a ring element: |a|=1 in Z, a!=0 in Q, gcd(a,m)=1 in Z/m."""
-    return ring.is_unit(a)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable ring-tagged matrix, stored as sparse rows.
@@ -208,30 +203,16 @@ class Matrix:
 # Sparse exact elimination over Z, Z/m and Q
 # ---------------------------------------------------------------------------
 
-def _add_scaled(dst, src, k, m):
-    """dst += k * src for sparse dicts, reduced mod m unless m is 0."""
-    for j, x in src.items():
-        y = dst.get(j, 0) + k * x
-        if m:
-            y %= m
-        if y:
-            dst[j] = y
-        elif j in dst:
-            del dst[j]
-
-
 class _Elimination:
     """Row and column operations on a sparse block A, by row and column id.
 
-    A comes as one {column: value} dict per row, zeros left out, with a
-    carried block: one {key: value} dict per row; both are changed in
-    place.  Every row operation and row swap on A is also applied to the
-    carried block, which therefore ends as U times the block that went
-    in, where U*A*V = S.  The identity gives U itself, and [b_i] gives
-    U*b without U ever being formed.  Every column operation and column
-    swap is also applied to the sparse columns of V, which start as the
-    identity.  With ``m`` set, entries are reduced into [0, m) after
-    each operation.
+    A comes as one {column: value} dict per row, zeros left out, and the
+    target b as one ring value per row; both are changed in place.  Every
+    row operation and row swap on A is also applied to b, which therefore
+    ends as U*b, where U*A*V = S, without U ever being formed.  Every
+    column operation and column swap is also applied to the sparse
+    columns of V, which start as the identity.  With ``m`` set, entries
+    are reduced into [0, m) after each operation.
 
     Ids never change; ``rat``/``cat`` give the id at each position and
     ``rpos``/``cpos`` the position of each id, so a swap costs O(1).
@@ -243,13 +224,13 @@ class _Elimination:
     row holds a finished column.
 
     All three rings share this block.  Z and Z/m use all of it; the
-    Gauss-Jordan over Q uses only the rows, the carried block,
-    ``holders`` and ``live``, and never swaps or touches a column.
+    Gauss-Jordan over Q uses only the rows, b, ``holders`` and ``live``,
+    and never swaps or touches a column.
     """
 
-    def __init__(self, rows, ncols, carry, m=0):
+    def __init__(self, rows, ncols, b, m=0):
         self.rows = rows
-        self.carry = carry
+        self.b = b
         self.m = m
         self.v = [{j: 1} for j in range(ncols)]
         self.rat = list(range(len(rows)))
@@ -284,7 +265,7 @@ class _Elimination:
         return None if best is None else best[1:]
 
     def swap_rows(self, p, q):
-        """Swap the rows at positions p and q, with their carried rows."""
+        """Swap the rows at positions p and q, with their targets."""
         a, b = self.rat[p], self.rat[q]
         self.rat[p], self.rat[q] = b, a
         self.rpos[a], self.rpos[b] = q, p
@@ -298,7 +279,7 @@ class _Elimination:
             self.least[i] = None
 
     def add_row(self, src, dst, k):
-        """Row dst += k * row src, on A and on the carried block."""
+        """Row dst += k * row src, on A and on b."""
         m, holders, drow = self.m, self.holders, self.rows[dst]
         for j, x in self.rows[src].items():
             y = drow.get(j, 0) + k * x
@@ -310,7 +291,9 @@ class _Elimination:
             elif j in drow:
                 del drow[j]
                 holders[j].discard(dst)
-        _add_scaled(self.carry[dst], self.carry[src], k, m)
+        if self.b[src]:
+            y = self.b[dst] + k * self.b[src]
+            self.b[dst] = y % m if m else y
         self.least[dst] = None
 
     def add_col(self, src, dst, k):
@@ -328,19 +311,27 @@ class _Elimination:
                 del row[dst]
                 holding.discard(i)
             least[i] = None
-        _add_scaled(self.v[dst], self.v[src], k, m)
+        vdst = self.v[dst]
+        for i, x in self.v[src].items():
+            y = vdst.get(i, 0) + k * x
+            if m:
+                y %= m
+            if y:
+                vdst[i] = y
+            elif i in vdst:
+                del vdst[i]
 
     def result(self):
-        """The diagonal of S, the carried block in row order and V's columns."""
+        """The diagonal of S, U*b in row order and the columns of V."""
         rows, rat, cat = self.rows, self.rat, self.cat
         diag = [rows[rat[t]].get(cat[t], 0) for t in range(min(len(rat), len(cat)))]
-        return diag, [self.carry[i] for i in rat], [self.v[j] for j in cat]
+        return diag, [self.b[i] for i in rat], [self.v[j] for j in cat]
 
 
-def _snf_int(rows, ncols, carry):
+def _snf_int(rows, ncols, b):
     """Smith normal form U*A*V = S over Z by gcd row/column reduction.
 
-    Operation order, which fixes S, the carried block and V exactly:
+    Operation order, which fixes S, U*b and V exactly:
     at step t the pivot is the smallest |x| in the block of rows and
     columns t.., ties going to the first row and then the first column;
     it is swapped to (t, t).  Each row i > t holding column t gets
@@ -349,11 +340,11 @@ def _snf_int(rows, ncols, carry):
     chosen again.  Once row and column t are clear, the first row i > t
     holding an entry not divisible by p is added to row t and the step
     starts over; with |p| = 1 nothing can fail that test, so the scan is
-    skipped.  A negative pivot has row t and its carried row negated.
+    skipped.  A negative pivot has row t and its target negated.
     Keeping the smallest pivot is what keeps entries from blowing up on
     the larger bilinearity systems.
     """
-    e = _Elimination(rows, ncols, carry)
+    e = _Elimination(rows, ncols, b)
     rat, cat = e.rat, e.cat
     t = 0
     while t < min(len(rows), ncols):
@@ -381,13 +372,13 @@ def _snf_int(rows, ncols, carry):
                 continue
         if p < 0:
             prow[pj] = -p
-            e.carry[pi] = {k: -x for k, x in e.carry[pi].items()}
+            b[pi] = -b[pi]
         e.live.discard(pi)
         t += 1
     return e.result()
 
 
-def _diagonalize_mod(rows, ncols, carry, m):
+def _diagonalize_mod(rows, ncols, b, m):
     """U*A*V = S (mod m) with S diagonal and U, V invertible mod m.
 
     The same gcd elimination as over Z, with every entry reduced into
@@ -401,7 +392,7 @@ def _diagonalize_mod(rows, ncols, carry, m):
     j > t of row t, in order, get col_j -= (a_tj // a_tt) * col_t, and a
     nonzero remainder swaps columns j and t.
     """
-    e = _Elimination(rows, ncols, carry, m)
+    e = _Elimination(rows, ncols, b, m)
     rat, cat, rpos, cpos = e.rat, e.cat, e.rpos, e.cpos
     t = 0
     while t < min(len(rows), ncols):
@@ -437,52 +428,6 @@ def _diagonalize_mod(rows, ncols, carry, m):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z (and over Z/m by lifting)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmithForm:
-    """U*A*V = S with U, V unimodular and S diagonal (divisibility over Z).
-
-    For a modular input the reduction was computed on the integer lift and
-    the lifted decomposition is kept alongside the reduced one.
-    """
-
-    ring: object
-    u: tuple
-    s: tuple
-    v: tuple
-    lifted: object = None
-
-    def diagonal(self):
-        r = len(self.s)
-        c = len(self.s[0]) if r else 0
-        return [self.s[i][i] for i in range(min(r, c))]
-
-
-def smith_normal_form(a: Matrix) -> SmithForm:
-    """Decompose U*A*V = S; ring must be Z or Z/m (Q rejected).
-
-    U is the carried block of an elimination that starts from the identity.
-    """
-    ring = a.ring
-    if isinstance(ring, RationalRing):
-        raise DimensionMismatchError("Smith normal form is defined over Z or Z/m here")
-    r, c = a.rows, a.cols
-    diag, carry, vcols = _snf_int([dict(row) for row in a.sparse], c,
-                                   [{i: 1} for i in range(r)])
-    u = tuple(tuple(row.get(j, 0) for j in range(r)) for row in carry)
-    s = tuple(tuple(diag[i] if i == j else 0 for j in range(c)) for i in range(r))
-    v = tuple(tuple(col.get(i, 0) for col in vcols) for i in range(c))
-    if isinstance(ring, IntegerRing):
-        return SmithForm(ring, u, s, v)
-    m = ring.m
-    red = lambda mat: tuple(tuple(x % m for x in row) for row in mat)
-    lifted = SmithForm(ZZ, u, s, v)
-    return SmithForm(ring, red(u), red(s), red(v), lifted=lifted)
-
-
-# ---------------------------------------------------------------------------
 # Linear solving with kernel spanning sets
 # ---------------------------------------------------------------------------
 
@@ -496,7 +441,6 @@ class Solution:
 
     particular: list
     kernel: list
-    ring: object
 
 
 @dataclass
@@ -509,25 +453,24 @@ class NoSolution:
 def solve_linear(a: Matrix, b):
     """Solve a*x = b over the matrix ring; returns Solution or NoSolution.
 
-    Over every ring the deduplicated rows go to the sparse elimination
-    with [b_i] as the carried block, so U*b comes back without U: Smith
-    form over Z, diagonalization mod m over Z/m, Gauss-Jordan over Q.
+    Over every ring the deduplicated rows and their targets go to the
+    sparse elimination, which returns U*b without U ever being formed:
+    Smith form over Z, diagonalization mod m over Z/m, Gauss-Jordan over Q.
     """
     ring = a.ring
     b = [ring.from_int(x) for x in b]
     if len(b) != a.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")
     rows, rhs = _dedup_rows(a.sparse, b)
-    carry = [{0: bb} if bb else {} for bb in rhs]
     if isinstance(ring, RationalRing):
-        return _solve_rational(rows, a.cols, carry)
+        return _solve_rational(rows, a.cols, rhs)
     if isinstance(ring, IntegerRing):
-        return _solve_integer(*_snf_int(rows, a.cols, carry))
-    return _solve_modular(*_diagonalize_mod(rows, a.cols, carry, ring.m), ring.m)
+        return _solve_integer(*_snf_int(rows, a.cols, rhs))
+    return _solve_modular(*_diagonalize_mod(rows, a.cols, rhs, ring.m), ring.m)
 
 
-def _solve_rational(rows, ncols, carry):
-    """Gauss-Jordan over Q on the sparse block, with [b_i] carried.
+def _solve_rational(rows, ncols, b):
+    """Gauss-Jordan over Q on the sparse block, with b carried.
 
     Columns are taken in order; the pivot of column j is the live row
     holding it with the fewest nonzeros, ties going to the least row id,
@@ -544,7 +487,7 @@ def _solve_rational(rows, ncols, carry):
     reaches it: over Q ``separable ring`` is always positive, and the
     commutant and derivation systems are homogeneous.
     """
-    e = _Elimination(rows, ncols, carry)
+    e = _Elimination(rows, ncols, b)
     pivot_col = {}  # pivot row id -> its column
     for j in range(ncols):
         live = e.holders[j] & e.live
@@ -557,15 +500,15 @@ def _solve_rational(rows, ncols, carry):
         e.live.discard(p)
         pivot_col[p] = j
     for i in sorted(e.live):
-        if carry[i]:
+        if b[i]:
             return NoSolution({
                 "kind": "rank_mismatch",
                 "row": i,
-                "residual": str(carry[i][0]),
+                "residual": str(b[i]),
             })
     particular = [Fraction(0)] * ncols
     for p, j in pivot_col.items():
-        particular[j] = carry[p].get(0, 0) / rows[p][j]
+        particular[j] = b[p] / rows[p][j]
     pivots = set(pivot_col.values())
     kernel = []
     for f in range(ncols):
@@ -577,7 +520,7 @@ def _solve_rational(rows, ncols, carry):
             j = pivot_col[p]
             vec[j] = -rows[p][f] / rows[p][j]
         kernel.append(vec)
-    return Solution(particular, kernel, QQ)
+    return Solution(particular, kernel)
 
 
 def _dedup_rows(a, b):
@@ -599,9 +542,6 @@ def _dedup_rows(a, b):
         seen.add(key)
         rows.append(dict(row))
         rhs.append(bb)
-    if not rows and a:
-        rows.append({})
-        rhs.append(b[0])
     return rows, rhs
 
 
@@ -617,11 +557,10 @@ def _combine(vcols, y):
 
 def _solve_integer(diag, c, vcols):
     """Read the solutions off S = U*A*V, with c = U*b and the columns of V."""
-    rows, cols = len(c), len(vcols)
+    cols = len(vcols)
     y = [0] * cols
-    for i in range(rows):
+    for i, ci in enumerate(c):
         si = diag[i] if i < len(diag) else 0
-        ci = c[i].get(0, 0)
         if si == 0:
             if ci != 0:
                 return NoSolution({
@@ -645,7 +584,7 @@ def _solve_integer(diag, c, vcols):
         sj = diag[j] if j < len(diag) else 0
         if sj == 0:
             kernel.append([vcols[j].get(i, 0) for i in range(cols)])
-    return Solution(x, kernel, ZZ)
+    return Solution(x, kernel)
 
 
 def _solve_modular(diag, c, vcols, m):
@@ -657,12 +596,11 @@ def _solve_modular(diag, c, vcols, m):
     of m/gcd per coordinate, plus wholly free coordinates) pulled back
     through V spans the full solution set because V is invertible mod m.
     """
-    rows, cols = len(c), len(vcols)
+    cols = len(vcols)
     y = [0] * cols
-    for i in range(rows):
+    for i, ci in enumerate(c):
         si = diag[i] if i < len(diag) else 0
         g = gcd(si, m)
-        ci = c[i].get(0, 0)
         if ci % g != 0:
             return NoSolution({
                 "kind": "lifted_congruence",
@@ -674,7 +612,6 @@ def _solve_modular(diag, c, vcols, m):
         if i < cols and g != m:
             mg = m // g
             y[i] = (ci // g) * pow((si // g) % mg, -1, mg) % mg
-    ring = ModularRing(m)
     particular = [x % m for x in _combine(vcols, y)]
     kernel = []
     seen = set()
@@ -688,4 +625,4 @@ def _solve_modular(diag, c, vcols, m):
         if any(vec) and vec not in seen:
             seen.add(vec)
             kernel.append(list(vec))
-    return Solution(particular, kernel, ring)
+    return Solution(particular, kernel)

@@ -584,11 +584,10 @@ def derivation_space(g: Group, ring) -> DerivationSpace:
     res = solve_linear(matrix, [ring.zero] * matrix.rows)
     if not isinstance(res, Solution):
         raise InternalInconsistencyError("homogeneous system reported unsolvable")
-    basis = []
-    for vec in res.kernel:
-        m = tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
-        if any(not ring.is_zero(x) for row in m for x in row):
-            basis.append(m)
+    # no kernel vector is zero: over Q each has a 1 in its free column, over
+    # Z each is a column of the invertible V, and over Z/m zeros are dropped
+    basis = [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
+             for vec in res.kernel]
     return DerivationSpace(g, ring, basis)
 
 

@@ -23,7 +23,7 @@ from burnside.groups import (
     subgroups_conjugate,
 )
 from burnside.gsets import induce_along, orbits, stabilizer
-from burnside.rings import QQ, ZZ, NoSolution, Solution
+from burnside.rings import ZZ, NoSolution, Solution
 from burnside.separability import (
     TensorElement,
     _embed_d13,
@@ -406,7 +406,7 @@ def dense_solve_rational(a, b):
         for i, pj in enumerate(pivots):
             vec[pj] = -m[i][j]
         kernel.append(vec)
-    return Solution(particular, kernel, QQ)
+    return Solution(particular, kernel)
 
 
 # ---------------------------------------------------------------------------

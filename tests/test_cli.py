@@ -195,37 +195,38 @@ def test_derivations_json(capsys):
 
 
 def test_error_codes(capsys):
-    code, out, err = run_cli(capsys, "tom", "nope", "--json")
-    assert code == 2
-    assert err.startswith("E_PARSE:") and out == ""
-
-    code, _, err = run_cli(capsys, "tom", "prod(S5,S3)")
-    assert code == 2 and err.startswith("E_ORDER_BOUND:")
-
-    code, _, err = run_cli(capsys, "idempotents", "C2", "--ring", "Z")
-    assert code == 2 and err.startswith("E_RING:")
-
-    code, _, err = run_cli(capsys, "separable", "ring", "C2", "--ring", "GF(9)")
-    assert code == 2 and err.startswith("E_PARSE:")
-
-    # one bound on G x G for every command that builds it
-    for argv in (("commutant", "D16", "--ring", "Q"), ("mackey-check", "D16")):
+    # the whole stderr line, so neither a code nor a message can drift
+    bound = ("E_RESOURCE: G x G computations are capped at base order 15, "
+             "since |G x G| <= 255")
+    cases = [
+        (("tom", "nope", "--json"), "E_PARSE: cannot parse group spec 'nope'"),
+        (("tom", "prod(S5,S3)"),
+         "E_ORDER_BOUND: direct product order 720 exceeds bound 255"),
+        (("idempotents", "C2", "--ring", "Z"), "E_RING: |G| = 2 is not a unit in Z"),
+        (("separable", "ring", "C2", "--ring", "GF(9)"),
+         "E_PARSE: unknown ring spec 'GF(9)' (expected Z, Q or Z/<m>)"),
+        # one bound on G x G for every command that builds it
+        (("commutant", "D16", "--ring", "Q"), bound),
+        (("mackey-check", "D16"), bound),
+        # nesting deeper than the parser's recursion is a parse error
+        (("tom", "prod(C1," * 1200 + "C1" + ")" * 1200),
+         "E_PARSE: group spec is nested too deeply"),
+        # only ASCII digits are numbers: Unicode digits are parse errors, not
+        # internal errors, and are never read as their ASCII counterparts
+        (("subgroups", "S\u00b2"), "E_PARSE: cannot parse group spec 'S\u00b2'"),
+        (("subgroups", "perm:(1 \u00b2)"),
+         "E_PARSE: cycle points must be positive integers: '\u00b2'"),
+        (("gamma", "S3", "--ring", "Z/\u00b3"),
+         "E_PARSE: bad modulus in ring spec 'Z/\u00b3'"),
+        (("tom", "C\u0663"), "E_PARSE: cannot parse group spec 'C\u0663'"),
+        (("subgroups", "perm:(1 \u0662)"),
+         "E_PARSE: cycle points must be positive integers: '\u0662'"),
+        (("gamma", "S3", "--ring", "Z/\u0663"),
+         "E_PARSE: bad modulus in ring spec 'Z/\u0663'"),
+    ]
+    for argv, line in cases:
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("E_RESOURCE:"), argv
-
-    # nesting deeper than the parser's recursion is a parse error
-    deep = "prod(C1," * 1200 + "C1" + ")" * 1200
-    code, out, err = run_cli(capsys, "tom", deep)
-    assert code == 2 and out == "" and err.startswith("E_PARSE:")
-
-    # only ASCII digits are numbers: Unicode digits are parse errors, not
-    # internal errors, and are never read as their ASCII counterparts
-    for argv in (("subgroups", "S\u00b2"), ("subgroups", "perm:(1 \u00b2)"),
-                 ("gamma", "S3", "--ring", "Z/\u00b3"), ("tom", "C\u0663"),
-                 ("subgroups", "perm:(1 \u0662)"),
-                 ("gamma", "S3", "--ring", "Z/\u0663")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("E_PARSE:"), argv
+        assert (code, out, err) == (2, "", line + "\n"), argv
 
 
 def test_max_order_flag_and_env(capsys, monkeypatch):

@@ -326,10 +326,11 @@ def test_lattice_resource_bound(monkeypatch):
     from burnside.errors import ResourceBoundError
     # an empty cache, whichever lattices earlier tests left in the shared one
     monkeypatch.setattr(groups, "_LATTICE_CACHE", OrderedDict())
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 3)
     g = build_group("perm:(1 2);(3 4);(5 6)")  # fresh C2^3, not cached yet
     assert g not in groups._LATTICE_CACHE
     with pytest.raises(ResourceBoundError):
-        subgroup_lattice(g, cap=3)
+        subgroup_lattice(g)
 
 
 @pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", A5, "prod(D8,C2)"])
@@ -384,18 +385,20 @@ def test_marks_match_class_mask_oracle(spec):
     assert lat.marks == marks_by_class_masks(lat)
 
 
-def test_lattice_cap_is_checked_during_enumeration():
+def test_lattice_cap_is_checked_during_enumeration(monkeypatch):
+    from burnside import groups
     from burnside.errors import ResourceBoundError
-    from burnside.groups import _LATTICE_CACHE
     c2_5 = build_group(C2_5)
     # relabel x -> 31 - x, so this table is new to the lattice cache
     g = Group([[31 - c2_5.mul(31 - a, 31 - b) for b in range(32)]
                for a in range(32)], identity=31)
-    assert g not in _LATTICE_CACHE
+    assert g not in groups._LATTICE_CACHE
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 100)
     with pytest.raises(ResourceBoundError):
-        subgroup_lattice(g, cap=100)
-    assert g not in _LATTICE_CACHE
-    assert len(subgroup_lattice(g, cap=374).subgroups) == 374
+        subgroup_lattice(g)
+    assert g not in groups._LATTICE_CACHE
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 374)
+    assert len(subgroup_lattice(g).subgroups) == 374
 
 
 def test_lattice_cache_is_a_bounded_lru():

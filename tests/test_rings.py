@@ -14,12 +14,10 @@ from burnside.rings import (
     NoSolution,
     Solution,
     Zmod,
-    is_unit,
     _dedup_rows,
     _diagonalize_mod,
     _snf_int,
     ring_from_spec,
-    smith_normal_form,
     solve_linear,
 )
 from burnside.separability import (
@@ -46,19 +44,28 @@ def _eliminate(a, m=0, carry=None):
     """Sparse elimination of the dense matrix a: (carried, s, v) as dense lists.
 
     The carried block defaults to the identity, which comes back as U.
+    The elimination carries one target b; its steps do not depend on b,
+    so it runs once per column of the block, with that column as b.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     if carry is None:
         carry = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     width = len(carry[0]) if carry else 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    block = [{j: x for j, x in enumerate(row) if x} for row in carry]
-    diag, block, vcols = (_diagonalize_mod(rows, c, block, m) if m
-                          else _snf_int(rows, c, block))
+
+    def run(b):
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+        return _diagonalize_mod(rows, c, b, m) if m else _snf_int(rows, c, b)
+
+    diag, _, vcols = run([0] * r)
+    block = [run([row[k] for row in carry])[1] for k in range(width)]
     s = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
     v = [[col.get(i, 0) for col in vcols] for i in range(c)]
-    return [[row.get(j, 0) for j in range(width)] for row in block], s, v
+    return [list(row) for row in zip(*block)], s, v
+
+
+def _diagonal(s):
+    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
 def test_ring_from_spec():
@@ -71,12 +78,12 @@ def test_ring_from_spec():
 
 
 def test_is_unit():
-    assert not is_unit(2, ZZ)
-    assert is_unit(-1, ZZ)
-    assert is_unit(2, Zmod(3))
-    assert not is_unit(2, Zmod(4))
-    assert not is_unit(QQ.zero, QQ)
-    assert is_unit(QQ.from_int(7), QQ)
+    assert not ZZ.is_unit(2)
+    assert ZZ.is_unit(-1)
+    assert Zmod(3).is_unit(2)
+    assert not Zmod(4).is_unit(2)
+    assert not QQ.is_unit(QQ.zero)
+    assert QQ.is_unit(QQ.from_int(7))
 
 
 def test_modular_normalisation():
@@ -128,21 +135,16 @@ def test_no_solve_densifies(monkeypatch):
     assert derivation_space(build_group("S4"), ZZ).is_zero()
     assert commutant_basis(build_group("S3"), QQ).matches_diagonal_span
     assert isinstance(invert(gamma(build_group("S3"), QQ)), BurnsideElement)
-    snf = smith_normal_form(Matrix.from_rows(ZZ, [[2, 4], [6, 8]]))
-    assert snf.diagonal() == [2, 4]
 
 
 def test_snf_identity_and_zero():
-    ident = Matrix.from_rows(ZZ, [[1, 0], [0, 1]])
-    s = smith_normal_form(ident)
-    assert s.diagonal() == [1, 1]
-    zero = Matrix.from_rows(ZZ, [[0, 0], [0, 0]])
-    assert smith_normal_form(zero).diagonal() == [0, 0]
+    assert _diagonal(_eliminate([[1, 0], [0, 1]])[1]) == [1, 1]
+    assert _diagonal(_eliminate([[0, 0], [0, 0]])[1]) == [0, 0]
 
 
 def test_snf_diag_2_3():
-    s = smith_normal_form(Matrix.from_rows(ZZ, [[2, 0], [0, 3]]))
-    assert s.diagonal() == [1, 6]
+    assert _diagonal(_eliminate([[2, 0], [0, 3]])[1]) == [1, 6]
+    assert _diagonal(_eliminate([[2, 4], [6, 8]])[1]) == [2, 4]
 
 
 def test_snf_properties_random():
@@ -151,12 +153,10 @@ def test_snf_properties_random():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        s = smith_normal_form(Matrix.from_rows(ZZ, a))
-        u = [list(r) for r in s.u]
-        v = [list(r) for r in s.v]
+        u, s, v = _eliminate(a)
         prod = mat_mul(mat_mul(u, a), v)
-        assert prod == [list(r) for r in s.s]
-        diag = s.diagonal()
+        assert prod == s
+        diag = _diagonal(s)
         for x, y in zip(diag, diag[1:]):
             if x != 0:
                 assert y % x == 0
@@ -164,19 +164,6 @@ def test_snf_properties_random():
                 assert y == 0
         assert abs(bareiss_det(u)) == 1
         assert abs(bareiss_det(v)) == 1
-
-
-def test_snf_modular_records_lift():
-    s = smith_normal_form(Matrix.from_rows(Zmod(4), [[2, 0], [0, 6]]))
-    assert s.lifted is not None
-    assert s.lifted.ring is ZZ
-    # reduced form is the lift mod 4
-    assert s.s == tuple(tuple(x % 4 for x in row) for row in s.lifted.s)
-
-
-def test_snf_rejects_rationals():
-    with pytest.raises(DimensionMismatchError):
-        smith_normal_form(Matrix.from_rows(QQ, [[1]]))
 
 
 def test_solve_examples_from_small_systems():
@@ -196,6 +183,21 @@ def test_solve_examples_from_small_systems():
     assert isinstance(res, Solution)
     assert res.particular == [0]
     assert res.kernel == [[2]]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4)], ids=lambda ring: ring.spec)
+def test_all_trivial_system_gives_identity_kernel(ring):
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    systems = [[{}, {}], []]  # every row zero; no rows at all
+    if ring == Zmod(4):
+        systems.append([{0: 4, 1: 8}, {}])  # rows that vanish mod 4
+    for rows in systems:
+        res = solve_linear(Matrix.from_sparse(ring, 3, rows), [0] * len(rows))
+        assert isinstance(res, Solution)
+        assert res.particular == [0, 0, 0]
+        assert res.kernel == identity
+        assert all(type(x) is type(ring.zero)
+                   for vec in [res.particular, *res.kernel] for x in vec)
 
 
 def test_solve_dimension_mismatch():
