@@ -30,11 +30,11 @@ from .groups import (
     Group,
     Subgroup,
     _cyclic,
+    balanced_product,
     diagonal_subgroup,
     direct_product,
     squared,
     subgroup_lattice,
-    union_find,
 )
 from .gsets import GSet, conjugation_gset, induce, restrict
 from .rings import ZZ
@@ -111,39 +111,22 @@ def identity_biset(g: Group) -> Biset:
 
 
 def compose(u: Biset, v: Biset) -> Biset:
-    """Quotient of u x v by the middle group: (x.g, y) ~ (x, g.y)."""
+    """The balanced product u x_M v over the middle group M: (x.m, y) ~ (x, m.y).
+
+    Points are numbered by their least pair x*|v| + y; (h, k) in
+    left x right acts as h on x and as k on y.
+    """
     if u.right != v.left:
         raise GroupMismatchError("middle groups differ")
-    mid = u.right
-    nu, nv = u.size, v.size
-    total = nu * nv
-    find, union = union_find(total)
-
-    for gmid in mid.generators:
-        # x.g = (e_left, g^-1).x on u; g.y = (g, e_right).y on v
-        xu = u.carrier.action[u.left.identity * mid.order + mid.inv_table[gmid]]
-        yv = v.carrier.action[gmid * v.right.order + v.right.identity]
-        for x in range(nu):
-            xg = xu[x]
-            base_xg = xg * nv
-            base_x = x * nv
-            for y in range(nv):
-                union(base_xg + y, base_x + yv[y])
-
-    reps = sorted({find(i) for i in range(total)})
-    cls = {r: i for i, r in enumerate(reps)}
-    p = direct_product(u.left, v.right)
-    action = []
-    for w in p.elements():
-        h, k = divmod(w, v.right.order)
-        hu = u.carrier.action[h * mid.order + mid.identity]
-        kv = v.carrier.action[mid.identity * v.right.order + k]
-        row = []
-        for r in reps:
-            x, y = divmod(r, nv)
-            row.append(cls[find(hu[x] * nv + kv[y])])
-        action.append(row)
-    return Biset(u.left, v.right, GSet(p, action))
+    mid, right = u.right, v.right
+    ua, va = u.carrier.action, v.carrier.action
+    # x.m = (e_left, m^-1).x on u; m.y = (m, e_right).y on v
+    glue = [(ua[u.left.identity * mid.order + mid.inv_table[m]],
+             va[m * right.order + right.identity]) for m in mid.generators]
+    acts = [(ua[h * mid.order + mid.identity], va[mid.identity * right.order + k])
+            for h in u.left.elements() for k in right.elements()]
+    _, action = balanced_product(u.size, v.size, glue, acts)
+    return Biset(u.left, right, GSet(direct_product(u.left, right), action))
 
 
 def gset_as_biset(x: GSet) -> Biset:
@@ -235,7 +218,8 @@ def diagonal_merge_gsets(x: GSet, y: GSet, ix: int, iy: int, layout=None) -> GSe
     used_b = {t[1] for t in layout if isinstance(t, tuple) and t[0] == "b"}
     if (used_a != {i for i in range(len(fa)) if i != ix}
             or used_b != {j for j in range(len(fb)) if j != iy}
-            or layout.count("shared") != 1):
+            or layout.count("shared") != 1
+            or len(layout) != len(fa) + len(fb) - 1):
         raise FactorMismatchError("layout must cover all non-shared factors once")
 
     out_factors = []

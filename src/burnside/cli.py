@@ -29,6 +29,7 @@ from .bisets import diagonal_induce, diagonal_restrict, gamma
 from .groups import (
     build_group,
     element_classes,
+    squared,
     subgroup_lattice,
 )
 from .rings import ZZ, ring_from_spec
@@ -182,11 +183,11 @@ def cmd_gamma(g, ring, args):
 
 def cmd_mackey_check(g, ring, args):
     lat = subgroup_lattice(g)
-    gam = gamma(g, ZZ)
+    gam, gg = gamma(g, ZZ), squared(g)
     results = []
     for ci in range(lat.class_count):
         alpha = BurnsideElement.basis(g, ZZ, ci)
-        lhs = diagonal_restrict(diagonal_induce(alpha))
+        lhs = diagonal_restrict(diagonal_induce(alpha, gg))
         rhs = multiply(gam, alpha)
         results.append({"label": lat.classes[ci].label, "verified": lhs == rhs})
     ok = all(r["verified"] for r in results)

@@ -67,7 +67,8 @@ class Group:
         self._validate_shape()
         self.inv_table = self._build_inverses()
         self.generators = self._find_generators()
-        self._validate_associativity()
+        if not acts_compatibly(self.mul_table, self.generators, self.mul_table):
+            raise NotAGroupError("multiplication is not associative")
         # factors records how the group was assembled by direct_product;
         # an atomic group is its own single factor.
         self.factors = tuple(factors) if factors is not None else (self,)
@@ -111,19 +112,6 @@ class Group:
             cand = min(x for x in range(self.order) if not mask >> x & 1)
             members, mask, gens = _join(self.mul_table, members, mask, gens, cand)
         return gens
-
-    def _validate_associativity(self):
-        n = self.order
-        mul = self.mul_table
-        for s in self.generators:
-            row_s = mul[s]
-            for b in range(n):
-                sb = row_s[b]
-                row_b = mul[b]
-                row_sb = mul[sb]
-                for c in range(n):
-                    if row_sb[c] != row_s[row_b[c]]:
-                        raise NotAGroupError("multiplication is not associative")
 
     # -- basic queries ------------------------------------------------------
 
@@ -437,13 +425,38 @@ class SubgroupLattice:
                      for row in self.marks)
 
 
-def union_find(size: int):
-    """Union-find on 0..size-1 with path halving; returns (find, union).
+def acts_compatibly(mul, gens, action) -> bool:
+    """Whether action[s*h] is action[s] after action[h] for each s in gens.
 
-    Every root is the least member of its class, so find gives the same
-    representative whatever order the unions came in.
+    ``mul`` is a group's multiplication table and ``action`` holds one
+    point map per element.  For generators s and every h this is the
+    full compatibility condition, since it propagates to all products.
+    A table acting on itself (``action`` = ``mul``) is associativity.
     """
-    parent = list(range(size))
+    for s in gens:
+        row_s, mul_s = action[s], mul[s]
+        for h, row_h in enumerate(action):
+            row_sh = action[mul_s[h]]
+            for p, q in enumerate(row_h):
+                if row_sh[p] != row_s[q]:
+                    return False
+    return True
+
+
+def balanced_product(ns: int, nt: int, glue, acts):
+    """The balanced product S x_M T, and a group's action on it.
+
+    Pair (s, t) is s*nt + t.  ``glue`` holds one (s -> s.m, t -> m.t)
+    pair of maps per generator m of the middle group M, and pairs are
+    identified by (s.m, t) ~ (s, m.t).  ``acts`` holds one (map on S,
+    map on T) pair per element of the acting group; the maps must
+    respect the gluing.  Returns ``reps``, the least pair of each class
+    in increasing order, so class c is the one holding ``reps[c]``
+    whatever order the gluing came in, and one row of classes per entry
+    of ``acts``.
+    """
+    total = ns * nt
+    parent = list(range(total))
 
     def find(i):
         while parent[i] != i:
@@ -451,12 +464,21 @@ def union_find(size: int):
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    for right_s, left_t in glue:
+        for s in range(ns):
+            base_sm, base_s = right_s[s] * nt, s * nt
+            for t in range(nt):
+                ri, rj = find(base_sm + t), find(base_s + left_t[t])
+                parent[max(ri, rj)] = min(ri, rj)  # the least member stays root
 
-    return find, union
+    # a root is its class's least pair, so roots first appear in order
+    number = {}
+    cls = [number.setdefault(find(i), len(number)) for i in range(total)]
+    reps = list(number)
+    pairs = [divmod(r, nt) for r in reps]
+    action = [[cls[on_s[s] * nt + on_t[t]] for s, t in pairs]
+              for on_s, on_t in acts]
+    return reps, action
 
 
 def subgroup_lattice(g: Group) -> SubgroupLattice:

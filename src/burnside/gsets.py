@@ -21,9 +21,10 @@ from .errors import GroupMismatchError, NotAGroupError, NotContainedError
 from .groups import (
     Group,
     Subgroup,
+    acts_compatibly,
+    balanced_product,
     subgroups_conjugate,
     trivial_subgroup,
-    union_find,
 )
 
 
@@ -50,16 +51,9 @@ class GSet:
         ident = self.action[self.group.identity]
         if any(ident[p] != p for p in range(n)):
             raise NotAGroupError("identity must fix every point")
-        mul = self.group.mul_table
-        for s in self.group.generators:
-            row_s = self.action[s]
-            mul_s = mul[s]
-            for h in self.group.elements():
-                row_h = self.action[h]
-                row_sh = self.action[mul_s[h]]
-                for p in range(n):
-                    if row_sh[p] != row_s[row_h[p]]:
-                        raise NotAGroupError("action is not compatible with mul")
+        if not acts_compatibly(self.group.mul_table, self.group.generators,
+                               self.action):
+            raise NotAGroupError("action is not compatible with mul")
 
     def points(self):
         return range(self.size)
@@ -195,44 +189,23 @@ def decompose(x: GSet) -> OrbitDecomposition:
 
 
 def induce(x: GSet, h: Subgroup, k: Group) -> GSet:
-    """Induction of an h-set to k along h <= k.
+    """Induction of an h-set to k along h <= k: the balanced product k x_h x.
 
-    Points are equivalence classes of pairs (a, p) with a in k and p a
-    point of x, modulo (a*b, p) ~ (a, b.p) for b in h.  Classes are
-    glued with a union-find driven by the generators of h.
+    Points are classes of pairs (a, p) with a in k and p a point of x,
+    modulo (a*b, p) ~ (a, b.p) for b in h, numbered by their least pair
+    a*|x| + p; k acts on the left factor.
     """
     if h.parent != k:
         raise NotContainedError("subgroup belongs to a different group")
     if x.group != h.as_group():
         raise GroupMismatchError("g-set must live over the subgroup itself")
     nx = x.size
-    total = k.order * nx
-    find, union = union_find(total)
-
-    gens_local = h.generators_local()
-    for a in k.elements():
-        arow = k.mul_table[a]
-        for bl in gens_local:
-            bp = h.members[bl]
-            ab = arow[bp]
-            xrow = x.action[bl]
-            for p in range(nx):
-                union(ab * nx + p, a * nx + xrow[p])
-
-    reps = sorted({find(i) for i in range(total)})
-    cls = {r: i for i, r in enumerate(reps)}
-    expected = (k.order // h.order) * nx
-    if len(reps) != expected:
+    glue = [([row[h.members[bl]] for row in k.mul_table], x.action[bl])
+            for bl in h.generators_local()]
+    reps, action = balanced_product(
+        k.order, nx, glue, [(row, range(nx)) for row in k.mul_table])
+    if len(reps) != (k.order // h.order) * nx:
         raise NotAGroupError("induction produced an unexpected point count")
-
-    action = []
-    for g in k.elements():
-        grow = k.mul_table[g]
-        row = []
-        for r in reps:
-            a, p = divmod(r, nx)
-            row.append(cls[find(grow[a] * nx + p)])
-        action.append(row)
     return GSet(k, action)
 
 

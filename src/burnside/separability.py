@@ -580,12 +580,17 @@ def derivation_space(g: Group, ring) -> DerivationSpace:
     """All derivations of the Burnside algebra over the ring."""
     lat = subgroup_lattice(g)
     n = lat.class_count
-    matrix = leibniz_system(g, ring)
-    res = solve_linear(matrix, [ring.zero] * matrix.rows)
+    # an integer derivation is a rational one, and QB(G) is a product of
+    # fields, which has none but 0; so over Z the rational solve decides
+    matrix = leibniz_system(g, QQ if ring == ZZ else ring)
+    res = solve_linear(matrix, [0] * matrix.rows)
     if not isinstance(res, Solution):
         raise InternalInconsistencyError("homogeneous system reported unsolvable")
-    # no kernel vector is zero: over Q each has a 1 in its free column, over
-    # Z each is a column of the invertible V, and over Z/m zeros are dropped
+    if ring == ZZ and res.kernel:
+        raise InternalInconsistencyError(
+            "Leibniz system has a rational kernel, but QB(G) is a product of fields")
+    # no kernel vector is zero: over Q each has a 1 in its free column, and
+    # over Z/m zeros are dropped
     basis = [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
              for vec in res.kernel]
     return DerivationSpace(g, ring, basis)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from burnside.algebra import (
@@ -35,6 +38,7 @@ from burnside.errors import (
     NotAProductGroupError,
 )
 from burnside.groups import (
+    MAX_GROUP_ORDER,
     Subgroup,
     build_group,
     direct_product,
@@ -441,6 +445,35 @@ def test_diagonal_merge_factor_errors():
         diagonal_merge_gsets(x, y, 1, 0)  # C3 factor vs C2 factor
     with pytest.raises(FactorMismatchError):
         diagonal_merge_gsets(y, y, 0, 0, layout=[("a", 1), "shared"])
+    # a token given twice covers the same factors but adds one to the product
+    z = transitive_of_class(direct_product(c3, c2), 1)
+    with pytest.raises(FactorMismatchError, match="all non-shared factors once"):
+        diagonal_merge_gsets(z, z, 1, 1,
+                             layout=[("a", 0), ("a", 0), ("b", 0), "shared"])
+
+
+# sha256 of composed carriers: points are numbered by their least pair
+# x*|v| + y, and these digests pin that numbering
+@pytest.mark.parametrize("spec,digest", [
+    ("S3", "903b7a71ce625608457da36a2dc8d8a948b9bf51d6a62f02afc2256c8dffa813"),
+    ("D8", "ee7837a6803e8a51a631438679fc32cc7c31d1185eb30750cd90459aa6930dd0"),
+    ("D10", "e4028d31f5aa638d89c2fd4ded81b216d1fe9c14f3226f1dfd755b4a5a5c89fc"),
+    ("prod(C2,C4)", "5f0d811c49e34b24f1ed22ed697bd8f8f0ba2913289240b9969f653d7822ba76"),
+])
+def test_compose_action_tables_are_pinned(spec, digest):
+    """Res o Ind and Ind o Res for every subgroup class, and Id o G/H."""
+    k = build_group(spec)
+    lat = subgroup_lattice(k)
+    assert k.order ** 2 <= MAX_GROUP_ORDER
+    tables = []
+    for ci in range(lat.class_count):
+        h = lat.class_rep(ci)
+        ind, res = elementary_induction(k, h), elementary_restriction(k, h)
+        tables.append(compose(res, ind).carrier.action)
+        tables.append(compose(ind, res).carrier.action)
+        x = gset_as_biset(transitive(k, h))
+        tables.append(compose(identity_biset(k), x).carrier.action)
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == digest
 
 
 def test_permute_factors_element_roundtrip():

@@ -102,6 +102,21 @@ def test_mackey_check_json(capsys):
     validate(payload, "mackey_check.schema.json")
 
 
+def test_mackey_check_builds_g_x_g_once(capsys, monkeypatch):
+    import burnside.bisets
+
+    def refuse(g):
+        raise AssertionError("diagonal_induce built G x G again")
+
+    monkeypatch.setattr(burnside.bisets, "squared", refuse)
+    code, out, _ = run_cli(capsys, "mackey-check", "D8")
+    assert code == 0
+    labels = ["1#1", "2#1", "2#2", "2#3", "4#1", "4#2", "4#3", "8#1"]
+    assert out.splitlines() == [
+        "Mackey identity on D8: verified on all basis classes",
+        *(f"  [D8/{label}]: ok" for label in labels)]
+
+
 def test_separable_ring_json(capsys):
     code, out, _ = run_cli(capsys, "separable", "ring", "C2", "--ring", "Z",
                            "--json")

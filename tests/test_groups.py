@@ -14,6 +14,7 @@ from burnside.errors import (
 from burnside.groups import (
     Group,
     Subgroup,
+    balanced_product,
     build_group,
     centralizer_of_element,
     centralizer_of_subgroup,
@@ -101,6 +102,36 @@ def test_bad_table_rejected():
         Group([[0, 1], [1, 1]])  # 1*1 = 1 breaks inverses
     with pytest.raises(NotAGroupError):
         Group([[0, 1], [0, 1]])  # identity not acting trivially
+    # a Latin square with identity 0 and inverses, but 1*(1*2) != (1*1)*2
+    with pytest.raises(NotAGroupError, match="multiplication is not associative"):
+        Group([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+               [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+def test_balanced_product_without_gluing_numbers_the_plain_pairs():
+    # C3 shifting s and swapping t, with nothing glued: pair (s, t) is class 2s + t
+    shift = [[(s + a) % 3 for s in range(3)] for a in range(3)]
+    reps, action = balanced_product(3, 2, [], [(row, (1, 0)) for row in shift])
+    assert reps == list(range(6))
+    assert action == [[(s + a) % 3 * 2 + 1 - t for s in range(3) for t in range(2)]
+                      for a in range(3)]
+
+
+def test_balanced_product_does_not_depend_on_the_gluing_order():
+    # S4 x_H S4 for H = S3, glued by every non-identity element of H, either way round
+    s4 = build_group("S4")
+    lat = subgroup_lattice(s4)
+    h = next(lat.class_rep(ci) for ci in range(lat.class_count)
+             if lat.class_rep(ci).order == 6)
+    t = s4.mul_table
+    glue = [([row[m] for row in t], t[m]) for m in h.members if m != s4.identity]
+    acts = [(row, range(s4.order)) for row in t]
+    forward = balanced_product(s4.order, s4.order, glue, acts)
+    backward = balanced_product(s4.order, s4.order, glue[::-1], acts)
+    assert forward == backward
+    reps, action = forward
+    assert len(reps) == s4.order * s4.order // h.order
+    assert all(len(set(row)) == len(reps) for row in action)
 
 
 def test_dihedral_is_order_n_and_nonabelian():

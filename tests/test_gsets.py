@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from burnside.errors import GroupMismatchError, NotAGroupError, NotContainedError
@@ -48,7 +51,7 @@ def test_transitive_needs_containment():
 
 def test_action_table_validation():
     c2 = build_group("C2")
-    with pytest.raises(NotAGroupError):
+    with pytest.raises(NotAGroupError, match="action is not compatible with mul"):
         GSet(c2, [[0, 1], [1, 1]])  # non-identity row repeats a point
     with pytest.raises(NotAGroupError):
         GSet(c2, [[1, 0], [0, 1]])  # identity must fix every point
@@ -238,6 +241,28 @@ def test_induce_along_matches_positional_for_sorted_image():
     via_map = induce_along(x, list(h.members), s3)
     via_sub = induce(x, h, s3)
     assert iso_equal(via_map, via_sub)
+
+
+# sha256 of induced action tables: points are numbered by their least pair
+# a*|x| + p, and these digests pin that numbering
+@pytest.mark.parametrize("spec,digest", [
+    ("S4", "7d9443c1d180fdba240bbb2004b5512bab47af37c98d3770bd72997b0d1b2e3d"),
+    ("D12", "dd1757f594cde8be314249d8e1df2d1975a9854742f34e842d5d1b7daa345623"),
+    ("prod(C3,S3)", "da40847b5888e463b9b4aa12c7313e910db84907acbc8cac6e2324940c5b9c30"),
+    ("Q8", "a0b99cc418d1ed63322e8a9f09ed065ed430f7aebd161543657bf0df1d72a91a"),
+])
+def test_induce_action_tables_are_pinned(spec, digest):
+    """Every transitive set of every subgroup class, induced to the group."""
+    k = build_group(spec)
+    lat = subgroup_lattice(k)
+    tables = []
+    for ci in range(lat.class_count):
+        h = lat.class_rep(ci)
+        hg = h.as_group()
+        hl = subgroup_lattice(hg)
+        tables += [induce(transitive(hg, hl.class_rep(cj)), h, k).action
+                   for cj in range(hl.class_count)]
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == digest
 
 
 def test_induce_along_rejects_non_homomorphisms():

@@ -40,28 +40,45 @@ from helpers import (
 )
 
 
+class _Vec(tuple):
+    """A row of a carried block, standing in for one target value.
+
+    The elimination only adds, scales, negates, reduces and zero-tests
+    its targets, so a row of the block rides through it entrywise.
+    """
+
+    def __add__(self, other):
+        return _Vec(x + y for x, y in zip(self, other))
+
+    def __rmul__(self, k):
+        return _Vec(k * x for x in self)
+
+    def __neg__(self):
+        return _Vec(-x for x in self)
+
+    def __mod__(self, m):
+        return _Vec(x % m for x in self)
+
+    def __bool__(self):
+        return any(self)
+
+
 def _eliminate(a, m=0, carry=None):
     """Sparse elimination of the dense matrix a: (carried, s, v) as dense lists.
 
     The carried block defaults to the identity, which comes back as U.
-    The elimination carries one target b; its steps do not depend on b,
-    so it runs once per column of the block, with that column as b.
+    Its rows go in as the targets, one _Vec each, so one run carries it.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     if carry is None:
         carry = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    width = len(carry[0]) if carry else 0
-
-    def run(b):
-        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-        return _diagonalize_mod(rows, c, b, m) if m else _snf_int(rows, c, b)
-
-    diag, _, vcols = run([0] * r)
-    block = [run([row[k] for row in carry])[1] for k in range(width)]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    b = [_Vec(row) for row in carry]
+    diag, ub, vcols = _diagonalize_mod(rows, c, b, m) if m else _snf_int(rows, c, b)
     s = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
     v = [[col.get(i, 0) for col in vcols] for i in range(c)]
-    return [list(row) for row in zip(*block)], s, v
+    return [list(x) for x in ub], s, v
 
 
 def _diagonal(s):

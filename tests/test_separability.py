@@ -408,6 +408,18 @@ def test_derivation_space_zero_cases():
         assert d.is_zero()
 
 
+@pytest.mark.parametrize("spec", ["S4", "prod(C2,D8)"])
+def test_integer_derivations_come_from_the_rational_solve(spec, monkeypatch):
+    import burnside.rings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivations over Z reached the Smith form")
+
+    monkeypatch.setattr(burnside.rings, "_snf_int", refuse)
+    d = derivation_space(build_group(spec), ZZ)
+    assert d.is_zero() and d.ring == ZZ
+
+
 def test_derivation_space_modular_nonzero():
     c2 = build_group("C2")
     d2 = derivation_space(c2, Zmod(2))
