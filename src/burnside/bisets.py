@@ -33,6 +33,7 @@ from .groups import (
     balanced_product,
     diagonal_subgroup,
     direct_product,
+    is_homomorphism,
     squared,
     subgroup_lattice,
 )
@@ -96,10 +97,8 @@ def elementary_iso(src: Group, dst: Group, mapping) -> Biset:
     mapping = tuple(int(x) for x in mapping)
     if len(mapping) != src.order or sorted(mapping) != list(range(dst.order)):
         raise NotAnIsomorphismError("map is not a bijection onto dst")
-    for a in src.elements():
-        for b in src.elements():
-            if mapping[src.mul_table[a][b]] != dst.mul_table[mapping[a]][mapping[b]]:
-                raise NotAnIsomorphismError("map is not a homomorphism")
+    if not is_homomorphism(src, dst, mapping):
+        raise NotAnIsomorphismError("map is not a homomorphism")
     inverse = [0] * dst.order
     for x, y in enumerate(mapping):
         inverse[y] = x

@@ -40,9 +40,34 @@ from .separability import (
     ring_separability,
 )
 
+_encode = json.JSONEncoder().encode
+
+
+def _indented(obj, pad="\n"):
+    """``json.dumps(obj, separators=(",", ": "), indent=2)``, byte for byte.
+
+    json encodes in pure Python whenever ``indent`` is set; here only the
+    layout is written by hand and every leaf goes to the C encoder.  A
+    non-str key is coerced as json does it: encoded, then quoted.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [_encode(k if isinstance(k, str) else _encode(k)) + ": "
+                 + _indented(v, inner) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is int for v in obj):  # bools are not written as ints
+            items = map(str, obj)
+        else:
+            items = [_indented(v, inner) for v in obj]
+    else:
+        return str(obj) if type(obj) is int else _encode(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _emit(payload, lines, as_json):
     if as_json:
-        print(json.dumps(payload, separators=(",", ": "), indent=2))
+        print(_indented(payload))
     else:
         for line in lines:
             print(line)

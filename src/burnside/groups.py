@@ -9,9 +9,12 @@ subgroups, conjugacy classes, Moebius values and the table of marks.
 Subgroups are found by cyclic extension over bitmasks: one
 representative per conjugacy class is joined with cyclic subgroups of
 prime-power order, and each new subgroup brings in its conjugation orbit
-(Neubueser's method, as in Pfeiffer 1997).  Moebius values are computed
-one row mu(K, -) at a time, when a K is first asked for, and the table
-of marks on first use, from the class member masks with no G-set built.
+(Neubueser's method, as in Pfeiffer 1997).  A join <H, z> is built one
+left coset of H at a time, and a cyclic subgroup inside a join in which
+H already has prime index is skipped, since it would give that join
+again.  Moebius values are computed one row mu(K, -) at a time, when a
+K is first asked for, and the table of marks on first use, from the
+class member masks with no G-set built.
 Lattices live in one bounded LRU keyed by structural equality, so
 independently built copies of a group share one record; hits, inserts
 and evictions all happen under the module lock.  Everything is
@@ -267,21 +270,23 @@ class Subgroup:
 def _join(mul, members, mask, gens, z):
     """Members, mask and generators of <H, z>, where H has the given three.
 
-    H is closed, so its members are multiplied by z only and each new
-    member by every generator; no product of two members is formed.
+    <H, z> is a union of left cosets wH, which left multiplication by a
+    generator permutes.  So the search runs over coset representatives,
+    from members[0] (the coset H itself): each new s*w brings in its whole
+    coset at once, and since cosets are disjoint no element is probed.
     """
     gens += (z,)
-    members = list(members)
-    seen = set(members)  # faster to probe than the mask
-    old = len(members)
-    for i, a in enumerate(members):  # also visits the members it appends
-        row = mul[a]
-        for s in gens if i >= old else (z,):
-            b = row[s]
-            if b not in seen:
-                seen.add(b)
-                mask |= 1 << b
-                members.append(b)
+    h, members = members, list(members)
+    reps = [members[0]]
+    for w in reps:  # also visits the representatives it appends
+        for s in gens:
+            b = mul[s][w]
+            if not mask >> b & 1:
+                row = mul[b]
+                coset = [row[x] for x in h]
+                members += coset
+                mask |= sum([1 << x for x in coset])
+                reps.append(b)
     return members, mask, gens
 
 
@@ -443,6 +448,24 @@ def acts_compatibly(mul, gens, action) -> bool:
     return True
 
 
+def is_homomorphism(src: Group, dst: Group, images) -> bool:
+    """Whether b -> images[b] is a homomorphism from src to dst.
+
+    images[s*b] = images[s]*images[b] for generators s and every b
+    propagates to all products once the identity maps to the identity.
+    That is checked on its own: a trivial src has no generators, and the
+    generator check alone would pass any map.
+    """
+    if images[src.identity] != dst.identity:
+        return False
+    for s in src.generators:
+        row, image_row = src.mul_table[s], dst.mul_table[images[s]]
+        for b in src.elements():
+            if images[row[b]] != image_row[images[b]]:
+                return False
+    return True
+
+
 def balanced_product(ns: int, nt: int, glue, acts):
     """The balanced product S x_M T, and a group's action on it.
 
@@ -490,9 +513,13 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     contain.  Every subgroup is the join of a chain of zuppos and the
     conjugates of a zuppo are zuppos, so this reaches every class, perfect
     subgroups included.  A join not seen before brings in its whole
-    conjugation orbit, which is its class.  ResourceBoundError is raised as
-    soon as more than DEFAULT_SUBGROUP_CAP subgroups are found.  The result
-    is kept in an LRU of the LATTICE_CACHE_SIZE most recent groups.
+    conjugation orbit, which is its class.  Once a join K = <H, z> has
+    prime index over H, H is maximal in K, so <H, z'> = K for every zuppo
+    <z'> inside K but not H; such zuppos are skipped, which leaves the
+    subgroups found, and the order they are found in, unchanged.
+    ResourceBoundError is raised as soon as more than DEFAULT_SUBGROUP_CAP
+    subgroups are found.  The result is kept in an LRU of the
+    LATTICE_CACHE_SIZE most recent groups.
     """
     with _LOCK:
         # one lookup: an equal group compares its whole multiplication table
@@ -510,11 +537,17 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     conj_by = [tuple(g.conj(s, x) for x in g.elements()) for s in g.generators]
     orbit_of = {1 << e: 0}  # subgroup mask -> number of its class
     reps = [([e], 1 << e, ())]  # (members, mask, generators) per class
+    primes = {p for p in range(2, g.order + 1) if _is_prime(p)}
     for members, mask, gens in reps:  # also visits the classes it appends
-        for zmask, z in zuppos.items():
-            if zmask & mask == zmask:
+        # H and the joins in which H has prime index; a zuppo lies in one
+        # of them when its generator does
+        covered = mask
+        for z in zuppos.values():
+            if covered >> z & 1:
                 continue
             k = _join(mul, members, mask, gens, z)
+            if len(k[0]) // len(members) in primes:
+                covered |= k[1]
             if k[1] in orbit_of:
                 continue
             orbit_of[k[1]] = len(reps)
@@ -563,6 +596,11 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
         while len(_LATTICE_CACHE) > LATTICE_CACHE_SIZE:
             _LATTICE_CACHE.popitem(last=False)
     return lat
+
+
+def _is_prime(k: int) -> bool:
+    """Whether k is a prime."""
+    return k > 1 and all(k % p for p in range(2, math.isqrt(k) + 1))
 
 
 def _is_prime_power(k: int) -> bool:

@@ -23,6 +23,7 @@ from .groups import (
     Subgroup,
     acts_compatibly,
     balanced_product,
+    is_homomorphism,
     subgroups_conjugate,
     trivial_subgroup,
 )
@@ -220,10 +221,10 @@ def induce_along(x: GSet, images, k: Group) -> GSet:
     images = [int(v) for v in images]
     if len(images) != b_group.order or len(set(images)) != b_group.order:
         raise NotAGroupError("images must list one distinct target per element")
-    for a in b_group.elements():
-        for b in b_group.elements():
-            if images[b_group.mul_table[a][b]] != k.mul_table[images[a]][images[b]]:
-                raise NotAGroupError("images do not define a homomorphism")
+    if not all(0 <= v < k.order for v in images):
+        raise NotContainedError("image outside the target group")
+    if not is_homomorphism(b_group, k, images):
+        raise NotAGroupError("images do not define a homomorphism")
     sub = Subgroup(k, images)
     pre = {img: b for b, img in enumerate(images)}
     sg = sub.as_group()

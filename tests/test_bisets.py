@@ -78,6 +78,16 @@ def test_iso_requires_isomorphism():
         elementary_iso(c4, v4, [0, 1, 2, 3])
     with pytest.raises(NotAnIsomorphismError):
         elementary_iso(c4, c4, [0, 0, 0, 0])
+    with pytest.raises(NotAnIsomorphismError, match="bijection"):
+        elementary_iso(build_group("C1"), build_group("C2"), [1])
+    # a bijection of S3 that fixes the identity but swaps two of its
+    # three involutions only: no automorphism does that and fixes the rest
+    s3 = build_group("S3")
+    invols = [x for x in s3.elements() if s3.element_order(x) == 2]
+    mapping = list(s3.elements())
+    mapping[invols[0]], mapping[invols[1]] = invols[1], invols[0]
+    with pytest.raises(NotAnIsomorphismError, match="not a homomorphism"):
+        elementary_iso(s3, s3, mapping)
     # C2 x C2 swap of factors is an automorphism
     swap = [v4.encode((b, a)) for a, b in (v4.decode(x) for x in v4.elements())]
     elementary_iso(v4, v4, swap)

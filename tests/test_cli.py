@@ -403,3 +403,24 @@ def test_byte_identical_json_across_processes(tmp_path):
         assert a.returncode == b.returncode == 0, (args, a.stderr, b.stderr)
         assert a.stdout, args
         assert a.stdout == b.stdout, args
+
+
+_JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                | st.text() | st.sampled_from(("", "\"\\\n\t\x00", "é中\U0001f600"))
+                | st.lists(st.integers() | st.booleans(), max_size=5))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(_JSON_KEYS, kids, max_size=5)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(payload=_JSON_PAYLOADS)
+def test_indented_json_matches_json_dumps(payload):
+    # --json output is written by hand around the C encoder; the layout
+    # must stay that of the pure-Python indented encoder, byte for byte
+    expected = json.dumps(payload, separators=(",", ": "), indent=2)
+    assert burnside.cli._indented(payload) == expected

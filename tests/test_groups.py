@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import OrderedDict
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from burnside.groups import (
     diagonal_subgroup,
     direct_product,
     element_classes,
+    is_homomorphism,
     moebius,
     normalizer,
     subgroup_closure,
@@ -376,6 +378,40 @@ def test_lattice_holds_every_cyclic_subgroup_and_every_join(spec):
     for i, j in combinations(range(len(gens)), 2):
         if not lat.leq(i, j):  # sorted by order, so j never lies below i
             assert generated_subgroup(g, gens[i] + gens[j]) in known, (i, j)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", A5, "prod(D8,C2)"])
+def test_closure_matches_breadth_first_oracle(spec):
+    # the coset-by-coset join against a plain search over generator words
+    g = build_group(spec)
+    rng = random.Random(spec)
+    for _ in range(40):
+        gens = rng.sample(range(g.order), rng.randint(0, 4))
+        assert subgroup_closure(g, gens).members == generated_subgroup(g, gens), gens
+
+
+def test_prime_index_skip_bounds_the_joins(monkeypatch):
+    from burnside import groups
+    monkeypatch.setattr(groups, "_LATTICE_CACHE", OrderedDict())
+    calls = []
+    join = groups._join
+    monkeypatch.setattr(groups, "_join", lambda *a: calls.append(a) or join(*a))
+    lat = subgroup_lattice(build_group(C2_5))
+    assert len(lat.subgroups) == 374
+    # 32 joins find the zuppos; without the skip the extension makes 9517
+    assert len(calls) <= 2200
+
+
+def test_is_homomorphism_checks_the_identity_and_every_generator():
+    c1, c2, c4 = build_group("C1"), build_group("C2"), build_group("C4")
+    v4 = build_group("prod(C2,C2)")
+    assert is_homomorphism(c1, c2, [0])
+    assert not is_homomorphism(c1, c2, [1])  # C1 has no generators
+    assert is_homomorphism(c4, c2, [x % 2 for x in range(4)])
+    assert not is_homomorphism(c4, v4, [0, 1, 2, 3])  # bijective, but not a homomorphism
+    s3 = build_group("S3")
+    for g0 in s3.elements():
+        assert is_homomorphism(s3, s3, [s3.conj(g0, x) for x in s3.elements()])
 
 
 @pytest.mark.parametrize("spec,n_subs,n_classes", [

@@ -42,6 +42,19 @@ def test_transitive_sizes():
     assert transitive(s3, lat.class_rep(1)).size == 3
 
 
+def test_induce_along_needs_a_homomorphism():
+    c1, c2, c4 = build_group("C1"), build_group("C2"), build_group("C4")
+    assert induce_along(regular(c1), [0], c2).size == 2
+    # the trivial group has no generators, so only the identity check sees this
+    with pytest.raises(NotAGroupError, match="homomorphism"):
+        induce_along(regular(c1), [1], c2)
+    with pytest.raises(NotAGroupError, match="homomorphism"):
+        induce_along(regular(c4), [0, 1, 2, 3], build_group("prod(C2,C2)"))
+    for images in ([0, 5], [0, -2]):  # never read as indices into c4
+        with pytest.raises(NotContainedError):
+            induce_along(regular(c2), images, c4)
+
+
 def test_transitive_needs_containment():
     s3 = build_group("S3")
     c2 = build_group("C2")
