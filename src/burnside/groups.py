@@ -534,7 +534,11 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
         members, mask, _ = _join(mul, [e], 1 << e, (), x)
         if len(members) > 1 and _is_prime_power(len(members)):
             zuppos.setdefault(mask, x)
-    conj_by = [tuple(g.conj(s, x) for x in g.elements()) for s in g.generators]
+    # a central generator conjugates every subgroup to itself, which is
+    # already in orbit_of, so only the others are kept
+    identity = tuple(g.elements())
+    conj_by = [perm for s in g.generators
+               if (perm := tuple(g.conj(s, x) for x in g.elements())) != identity]
     orbit_of = {1 << e: 0}  # subgroup mask -> number of its class
     reps = [([e], 1 << e, ())]  # (members, mask, generators) per class
     primes = {p for p in range(2, g.order + 1) if _is_prime(p)}

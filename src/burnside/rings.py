@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatchError, NotInvertibleError, ParseError
@@ -219,13 +220,20 @@ class _Elimination:
     ``holders[j]`` is the set of rows with a nonzero in column j, so a
     column operation visits only those rows.  ``least[i]`` caches
     (|x|, column position) of row i's smallest entry and is cleared by
-    every operation that touches row i.  ``live`` holds the rows from the
-    current step on: the finished rows hold only their pivot, and no live
-    row holds a finished column.
+    every operation that touches row i.
+
+    At step t the rows at positions before t are finished: each holds
+    only its pivot, and no later row holds a finished column.  ``alive``
+    lists in increasing order the positions that may hold a nonzero row;
+    it holds every position after t whose row is nonzero, and ``pivot``
+    drops the others as it meets them.  A zero row stays zero, since only
+    rows holding a column are ever added to, and rows change position
+    only by a swap with t, whose other position is the pivot's or that of
+    a row holding column t, so the list needs no other upkeep.
 
     All three rings share this block.  Z and Z/m use all of it; the
-    Gauss-Jordan over Q uses only the rows, b, ``holders`` and ``live``,
-    and never swaps or touches a column.
+    Gauss-Jordan over Q uses only the rows, b and ``holders``, and never
+    swaps or touches a column.
     """
 
     def __init__(self, rows, ncols, b, m=0):
@@ -242,17 +250,28 @@ class _Elimination:
             for j in row:
                 self.holders[j].add(i)
         self.least = [None] * len(rows)
-        self.live = set(range(len(rows)))
+        self.alive = list(range(len(rows)))
 
-    def pivot(self):
-        """Positions (row, column) of the live entry with the smallest |x|.
+    def pivot(self, t):
+        """Positions (row, column) of the smallest |x| in the rows from t on.
 
         Ties go to the first row, then to the first column, as a row-major
-        scan would find them; None when every live row is zero.
+        scan would find them; None when those rows are all zero.  Rows are
+        read in position order, and the scan stops at the first row whose
+        smallest |x| is 1, which no entry can beat.  Position t is read
+        first whether or not ``alive`` still lists it: a step that starts
+        over may have swapped a nonzero row into t after the list dropped
+        the zero row that was there.
         """
-        rows, least, rpos, cpos = self.rows, self.least, self.rpos, self.cpos
+        rows, least, rat, cpos, alive = (
+            self.rows, self.least, self.rat, self.cpos, self.alive)
         best = None
-        for i in self.live:
+        kept = 0  # alive[:kept] are the positions read and kept so far
+        # n is the index of q in alive, and -1 for t
+        for n, q in enumerate(chain((t,), alive), -1):
+            if n >= 0 and q <= t:
+                continue
+            i = rat[q]
             key = least[i]
             if key is None:
                 row = rows[i]
@@ -260,8 +279,14 @@ class _Elimination:
                     continue
                 key = least[i] = min(zip(map(abs, row.values()),
                                          map(cpos.__getitem__, row)))
-            if best is None or (key[0], rpos[i], key[1]) < best:
-                best = (key[0], rpos[i], key[1])
+            if n >= 0:
+                alive[kept] = q
+                kept += 1
+            if best is None or key[0] < best[0]:
+                best = (key[0], q, key[1])
+                if key[0] == 1:
+                    break
+        del alive[kept:n + 1]
         return None if best is None else best[1:]
 
     def swap_rows(self, p, q):
@@ -348,7 +373,7 @@ def _snf_int(rows, ncols, b):
     rat, cat = e.rat, e.cat
     t = 0
     while t < min(len(rows), ncols):
-        pos = e.pivot()
+        pos = e.pivot(t)
         if pos is None:
             break
         if pos[0] != t:
@@ -365,15 +390,14 @@ def _snf_int(rows, ncols, b):
         if len(e.holders[pj]) > 1 or len(prow) > 1:
             continue
         if abs(p) != 1:
-            bad = [i for i in e.live
-                   if i != pi and any(x % p for x in rows[i].values())]
-            if bad:
-                e.add_row(min(bad, key=e.rpos.__getitem__), pi, 1)
+            bad = next((q for q in e.alive if q > t and any(
+                x % p for x in rows[rat[q]].values())), None)
+            if bad is not None:
+                e.add_row(rat[bad], pi, 1)
                 continue
         if p < 0:
             prow[pj] = -p
             b[pi] = -b[pi]
-        e.live.discard(pi)
         t += 1
     return e.result()
 
@@ -396,7 +420,7 @@ def _diagonalize_mod(rows, ncols, b, m):
     rat, cat, rpos, cpos = e.rat, e.cat, e.rpos, e.cpos
     t = 0
     while t < min(len(rows), ncols):
-        pos = e.pivot()
+        pos = e.pivot(t)
         if pos is None:
             break
         if pos[0] != t:
@@ -422,7 +446,6 @@ def _diagonalize_mod(rows, ncols, b, m):
                 if cj in prow:
                     e.swap_cols(j, t)
                     dirty = True
-        e.live.discard(rat[t])
         t += 1
     return e.result()
 
@@ -488,18 +511,19 @@ def _solve_rational(rows, ncols, b):
     commutant and derivation systems are homogeneous.
     """
     e = _Elimination(rows, ncols, b)
+    live = set(range(len(rows)))
     pivot_col = {}  # pivot row id -> its column
     for j in range(ncols):
-        live = e.holders[j] & e.live
-        if not live:
+        holding = e.holders[j] & live
+        if not holding:
             continue
-        p = min(live, key=lambda i: (len(rows[i]), i))
+        p = min(holding, key=lambda i: (len(rows[i]), i))
         x = rows[p][j]
         for i in [i for i in e.holders[j] if i != p]:
             e.add_row(p, i, -rows[i][j] / x)
-        e.live.discard(p)
+        live.discard(p)
         pivot_col[p] = j
-    for i in sorted(e.live):
+    for i in sorted(live):
         if b[i]:
             return NoSolution({
                 "kind": "rank_mismatch",

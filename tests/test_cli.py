@@ -195,6 +195,21 @@ def test_sparse_system_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("separable", "ring", "prod(S4,C2)", "--ring", "Z/2"),
+     "51e1205feeb535ed2a5bc965a56057838728abd495d6e87e6fd26cd1117cda53"),
+    (("derivations", "prod(C2,prod(C2,S3))", "--ring", "Z/2"),
+     "6749deaefe6c649425f74b8741827f31d59c29194c54082349f1a618bed97fb8"),
+])
+def test_elimination_order_json_bytes(capsys, argv, digest):
+    # the certificate's index and the mod-2 kernel both follow the exact
+    # pivot order of the mod-m elimination; pinned from the pivot search
+    # that scanned every remaining row at each step
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

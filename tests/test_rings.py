@@ -346,6 +346,40 @@ def test_sparse_elimination_matches_dense_oracle_mod_m(m):
         _assert_matches_dense(a, b, m)
 
 
+@pytest.mark.parametrize("m", [0, 2, 4, 6])
+def test_sparse_elimination_matches_dense_oracle_on_dependent_rows(m):
+    # tall matrices spanned by a few rows, so most rows reach zero in the
+    # first steps and the pivot search must pass over them from then on
+    rng = random.Random(60604 + m)
+    entry = (lambda: rng.randrange(m)) if m else (lambda: rng.randint(-9, 9))
+    for rows, cols, rank in [(30, 4, 1), (40, 6, 2), (36, 5, 3), (24, 7, 4)]:
+        basis = [[entry() for _ in range(cols)] for _ in range(rank)]
+        a = []
+        for _ in range(rows):
+            ks = [rng.randint(-2, 2) for _ in basis]
+            row = [sum(k * x[j] for k, x in zip(ks, basis)) for j in range(cols)]
+            a.append([x % m for x in row] if m else row)
+        b = [entry() for _ in range(rows)]
+        _assert_matches_dense(a, b, m)
+
+
+def test_sparse_elimination_rereads_the_pivot_position():
+    # over Z, with a zero row at position t and no unit in the rows after
+    # it: the pivot swapped into t leaves remainders, so its step picks a
+    # pivot again, and the row now at t must be read although it was zero
+    # when the step began; in [[0, 0], [2, 3], [4, 4]] the second search
+    # must find the 1 left in row t, not the -2 below it
+    _assert_matches_dense([[0, 0], [2, 3], [4, 4]], [1, 0, 0])
+    rng = random.Random(60608)
+    big = lambda: rng.choice([1, -1]) * rng.randint(2, 9)
+    for rows, cols in _random_shapes(rng):
+        a = [[0] * cols]
+        a += [[big() if rng.random() < 0.7 else 0 for _ in range(cols)]
+              for _ in range(rows)]
+        a.insert(rng.randrange(2, len(a) + 1), [0] * cols)
+        _assert_matches_dense(a, [rng.randint(-9, 9) for _ in a])
+
+
 @pytest.mark.parametrize("spec,ring", [("S3", ZZ), ("S3", Zmod(6)), ("D8", Zmod(4))])
 def test_sparse_elimination_matches_dense_oracle_on_systems(spec, ring):
     g = build_group(spec)
