@@ -11,12 +11,14 @@ last class down.  A nonzero remainder there would mean a ghost vector
 outside B(G) and is reported as an internal inconsistency.  The table
 itself comes from the subgroup lattice, which is the only per-group
 cache, so ``multiply``, ``mult_matrix``, ``structure_constants``,
-``mark`` and ``marks_vector`` share one integer kernel and every other
-product (tensor actions, Casimir and Leibniz systems, inversion) is
-read from it.  ``lift`` and ``lower`` are the one way into and out of
-the integers, the tensor code's included; a value that is not integral
-over Z, or whose denominator is not a unit mod m over Z/m, is refused,
-never truncated.  The primitive idempotents (for invertible group order)
+``mark`` and ``marks_vector`` share one integer kernel, ``ghost`` and
+``unghost``, and every other product is read from it: inversion, the
+Casimir and Leibniz systems, and the tensor code, which runs ``ghost``
+and ``unghost`` on the rows and the columns of a tensor.
+``lift`` and ``lower`` are the one way into and out of the integers,
+the tensor code's included; a value that is not integral over Z, or
+whose denominator is not a unit mod m over Z/m, is refused, never
+truncated.  The primitive idempotents (for invertible group order)
 and unit testing live here too.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
@@ -105,19 +107,24 @@ def lower(ring, values, d) -> list:
             for f in fracs]
 
 
+def ghost(lat, pairs) -> list:
+    """The marks of the integer combination sum c * [G/H_i] over the
+    (i, c) in pairs, read through the sparse rows of the table."""
+    v = [0] * lat.class_count
+    for i, c in pairs:
+        for j, m in lat.marks_rows[i]:
+            v[j] += c * m
+    return v
+
+
 def _ghost(a) -> tuple:
     """The marks of a as integers over one common denominator: (marks, d).
 
-    The coefficients are lifted once and read through the sparse rows of
-    the table.
+    The coefficients are lifted once and mapped through ``ghost``.
     """
     lat = subgroup_lattice(a.group)
     ints, d = lift(a.ring, a.coeffs.values())
-    v = [0] * lat.class_count
-    for i, c in zip(a.coeffs, ints):
-        for j, m in lat.marks_rows[i]:
-            v[j] += c * m
-    return v, d
+    return ghost(lat, zip(a.coeffs, ints)), d
 
 
 def unghost(lat, v) -> list:
@@ -246,17 +253,11 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
                            dict(enumerate(lower(a.ring, x, da * db))))
 
 
-def int_mult_columns(a: BurnsideElement) -> tuple:
-    """Multiplication by a in integers: (cols, d), cols[j] = d * a*[G/H_j]."""
-    lat = subgroup_lattice(a.group)
-    va, d = _ghost(a)
-    return [unghost(lat, [p * q for p, q in zip(va, row)])
-            for row in lat.marks], d
-
-
 def mult_matrix(a: BurnsideElement):
     """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
-    cols, d = int_mult_columns(a)
+    lat = subgroup_lattice(a.group)
+    va, d = _ghost(a)
+    cols = [unghost(lat, [p * q for p, q in zip(va, row)]) for row in lat.marks]
     return [lower(a.ring, row, d) for row in zip(*cols)]
 
 

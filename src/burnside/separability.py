@@ -3,8 +3,8 @@
 Three decision procedures, each with a constructive certificate:
 
 * ``ring_separability``: the Burnside algebra over R is separable exactly
-  when |G| is a unit in R.  A positive verdict carries a Casimir element
-  built from the primitive idempotents; a negative verdict carries an
+  when |G| is a unit in R.  A positive verdict carries the Casimir
+  element of the primitive idempotents; a negative verdict carries an
   unsolvability certificate for the full Casimir linear system.
 * ``functor_separability``: the shifted Burnside functor attached to G is
   separable exactly when |G| is a unit; the witness is an inverse of the
@@ -18,16 +18,20 @@ Three decision procedures, each with a constructive certificate:
 Every product here is read from ``algebra``: ``multiply``, and
 ``mult_matrix`` of an element or of each basis class.  The tensor code
 (both tensor actions, the product map mu, the Casimir element and its
-check) works in integers on the same lift as the ghost-ring kernel:
-coefficients become integers over one common denominator (residues and
-integers as they are), are combined through the sparse integer rows of
-the multiplication matrices (mu through the table of marks), and are
-lowered back into the ring once.  ``verify_casimir`` checks a rational u
-as D*u over Z, D the lcm of u's denominators: D*u is central with
-mu(D*u) = D*[G/G] exactly when u is central with mu(u) = [G/G], since
-both tensor actions and mu are linear.  Over Z/m the integer results are
-reduced mod m.  Centrality is checked on every basis class, then mu
-(DeMeyer and Ingraham, Separable Algebras over Commutative Rings, 1971).
+check) works on one two-sided ghost kernel.  The ghost square of u is
+M^T U M, with U the integer lift of u over its common denominator d
+(residues and integers as they are) and M the table of marks: u under
+the marks map phi (x) phi.  It is mapped back exactly by ``unghost`` on
+the rows and then on the columns, and lowered into the ring once.  In
+these coordinates the left and right actions of x scale the rows or the
+columns by the marks of x, and mu(u) has the diagonal as its marks.
+The primitive idempotents e_H are dual to the marks, so the Casimir
+element, the sum of the e_H (x) e_H, has ghost square I, and
+``verify_casimir`` checks that the ghost square of u is d * I in u's
+ring.  That check is sound and complete over Z, Q and Z/m: if it holds,
+det M is a unit, phi (x) phi is an isomorphism, and u maps to the only
+Casimir element of R^n (DeMeyer and Ingraham, Separable Algebras over
+Commutative Rings, 1971).
 
 The commutant computation pins down which elements over G x G commute
 with the identity biset under the two one-sided diagonal products; the
@@ -41,9 +45,10 @@ from dataclasses import dataclass
 from .algebra import (
     BurnsideElement,
     NotInvertible,
+    _ghost,
+    ghost,
     identity_element,
     idempotent_system,
-    int_mult_columns,
     invert,
     lift,
     lower,
@@ -124,98 +129,98 @@ def _compat(x: BurnsideElement, u: TensorElement):
         raise RingMismatchError("tensor action over a different ring")
 
 
-def _lift_rows(ring, matrix) -> tuple:
-    """A square matrix over the ring as integer rows over one common
-    denominator: (rows, d)."""
-    n = len(matrix)
-    ints, d = lift(ring, (c for row in matrix for c in row))
-    return [ints[i * n:(i + 1) * n] for i in range(n)], d
+def _two_sided(f, rows) -> list:
+    """f applied to each row, then to each column of the result."""
+    return list(zip(*map(f, zip(*map(f, rows)))))
 
 
-def _combine(coeffs, rows):
-    """The integer row sum of c * rows[k] over the nonzero c = coeffs[k]."""
-    acc = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [s + c * v for s, v in zip(acc, row)]
-    return acc
+def _ghost_square(u: TensorElement) -> tuple:
+    """u under the marks map phi (x) phi: (M^T U M, d).
+
+    U is u lifted to integers over its common denominator d, and M is
+    the table of marks, so entry (K, K') is the sum of U[H][H'] times the
+    marks of [G/H] at K and of [G/H'] at K'.
+    """
+    lat = subgroup_lattice(u.group)
+    n = lat.class_count
+    ints, d = lift(u.ring, (c for row in u.matrix for c in row))
+    return _two_sided(lambda row: ghost(lat, enumerate(row)),
+                      [ints[i * n:(i + 1) * n] for i in range(n)]), d
+
+
+def _from_ghost_square(g: Group, ring, w, d) -> TensorElement:
+    """The tensor whose ghost square is w over the denominator d.
+
+    ``unghost`` runs on the rows of w and then on the columns, exactly,
+    and the integers are lowered into the ring by d.
+    """
+    lat = subgroup_lattice(g)
+    return TensorElement(g, ring, [lower(ring, row, d) for row in
+                                   _two_sided(lambda v: unghost(lat, v), w)])
 
 
 def tensor_act_left(x: BurnsideElement, u: TensorElement) -> TensorElement:
-    """Multiply the left tensor factor by x: the matrix L_x * u."""
+    """Multiply the left tensor factor by x: the matrix L_x * u.
+
+    In ghost coordinates this scales row K of the ghost square by the
+    mark of x at K.
+    """
     _compat(x, u)
-    cols, dx = int_mult_columns(x)
-    rows, du = _lift_rows(u.ring, u.matrix)
-    out = [_combine(lrow, rows) for lrow in zip(*cols)]
-    return TensorElement(u.group, u.ring,
-                         [lower(u.ring, row, dx * du) for row in out])
+    (v, dx), (w, du) = _ghost(x), _ghost_square(u)
+    return _from_ghost_square(u.group, u.ring,
+                              [[m * c for c in row] for m, row in zip(v, w)], dx * du)
 
 
 def tensor_act_right(u: TensorElement, x: BurnsideElement) -> TensorElement:
     """Multiply the right tensor factor by x: the matrix u * L_x^T.
 
-    Its transpose L_x * u^T is formed, so that, as on the left, each row
-    combines only the rows picked by the sparse integer rows of L_x.
+    In ghost coordinates this scales column K of the ghost square by the
+    mark of x at K.
     """
     _compat(x, u)
-    cols, dx = int_mult_columns(x)
-    rows, du = _lift_rows(u.ring, u.matrix)
-    u_cols = list(zip(*rows))
-    out_t = [_combine(lrow, u_cols) for lrow in zip(*cols)]
-    return TensorElement(u.group, u.ring,
-                         [lower(u.ring, row, dx * du) for row in zip(*out_t)])
+    (v, dx), (w, du) = _ghost(x), _ghost_square(u)
+    return _from_ghost_square(u.group, u.ring,
+                              [[c * m for c, m in zip(row, v)] for row in w], dx * du)
 
 
 def tensor_mu(u: TensorElement) -> BurnsideElement:
     """The product map: sum of u[H][K] * [G/H]*[G/K], through the ghost ring.
 
-    The mark of mu(u) at K is the sum of u[H][H'] times the marks of
-    [G/H] and [G/H'] at K, so it is read off u * M, M the table of marks.
+    The mark of [G/H]*[G/K] at K' is the product of their marks there, so
+    the marks of mu(u) are the diagonal of the ghost square.
     """
-    g = u.group
-    lat = subgroup_lattice(g)
-    rows, d = _lift_rows(u.ring, u.matrix)
-    ghost = [0] * lat.class_count
-    for urow, mrow in zip(rows, lat.marks_rows):
-        um = _combine(urow, lat.marks)  # row H of u * M
-        for k, m in mrow:
-            ghost[k] += m * um[k]
-    return BurnsideElement(g, u.ring,
-                           dict(enumerate(lower(u.ring, unghost(lat, ghost), d))))
+    w, d = _ghost_square(u)
+    lat = subgroup_lattice(u.group)
+    x = unghost(lat, [w[k][k] for k in range(lat.class_count)])
+    return BurnsideElement(u.group, u.ring, dict(enumerate(lower(u.ring, x, d))))
 
 
 def casimir_from_idempotents(g: Group, ring) -> TensorElement:
     """The separability element: sum over classes of e_H (x) e_H.
 
-    With E the matrix whose row H holds the coefficients of e_H, this is
-    E^T E, formed from E in integers over the common denominator d.
+    The e_H are dual to the marks, so its ghost square is the identity.
+    |G| e_H is integral, as |N_G(H)| e_H is, so |G|^2 * I maps back
+    exactly and is lowered by |G|^2.
     """
     if not ring.is_unit(ring.from_int(g.order)):
         raise NotInvertibleError(f"|G| = {g.order} is not a unit in {ring.spec}")
-    idems = idempotent_system(g, ring)
-    n = len(idems)
-    rows, d = _lift_rows(ring, [[e.coeffs.get(j, ring.zero) for j in range(n)]
-                                for e in idems])
-    out = [_combine(col, rows) for col in zip(*rows)]
-    return TensorElement(g, ring, [lower(ring, row, d * d) for row in out])
+    n, d = subgroup_lattice(g).class_count, g.order ** 2
+    return _from_ghost_square(g, ring, [[d * (i == j) for j in range(n)]
+                                        for i in range(n)], d)
 
 
 def verify_casimir(u: TensorElement) -> bool:
-    """Centrality on every basis element plus mu(u) = [G/G].
+    """Whether u is central with mu(u) = [G/G]: its ghost square is d * I.
 
-    Over Q the check runs on D*u over Z, D the common denominator of u
-    (D = 1 over Z and Z/m, where the results are reduced in u's ring).
+    d is u's common denominator (1 over Z and Z/m), and the integers are
+    compared in u's ring.  If the check holds, det M is a unit, so phi (x)
+    phi is an isomorphism and u maps to the only Casimir element of R^n,
+    the sum of the delta_K (x) delta_K.  Conversely, a Casimir element
+    maps to that one, whose ghost square is I.
     """
-    g = u.group
-    n = subgroup_lattice(g).class_count
-    ring = ZZ if u.ring == QQ else u.ring
-    rows, d = _lift_rows(u.ring, u.matrix)
-    u = TensorElement(g, ring, rows)
-    for i in range(n):
-        x = BurnsideElement.basis(g, ring, i)
-        if tensor_act_left(x, u) != tensor_act_right(u, x):
-            return False
-    return tensor_mu(u) == identity_element(g, ring).scale(ring.from_int(d))
+    w, d = _ghost_square(u)
+    return all(u.ring.is_zero(u.ring.from_int(c - d * (i == j)))
+               for i, row in enumerate(w) for j, c in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

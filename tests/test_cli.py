@@ -210,6 +210,22 @@ def test_elimination_order_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("separable", "ring", "prod(C2,prod(C2,prod(C2,C2)))", "--ring", "Q"),
+     "251b544962a1eff7f9bd6e5048888574199b044cce448369bef320dd0925edef"),
+    (("separable", "ring", "S5", "--ring", "Z/7"),
+     "8ba165ec0b8e6cdf43f292fe95bc49c5f3e261ec318cee1f6496f7fe4dde9cb7"),
+    (("separable", "ring", "prod(D8,C2)", "--ring", "Z/3"),
+     "5f0c9ac59efead42ae0f5b9d13411b713a8a0ed4e360d7dded664263d789189a"),
+])
+def test_casimir_witness_json_bytes(capsys, argv, digest):
+    # pinned from the witness built as E^T E over the Moebius idempotents
+    # and checked by centrality on each basis class plus mu
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

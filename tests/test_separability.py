@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside.algebra import (
     BurnsideElement,
@@ -24,8 +26,10 @@ from burnside.groups import (
 )
 from burnside.gsets import induce_along, iso_equal
 from burnside.rings import QQ, ZZ, Solution, Zmod, solve_linear
+import burnside.algebra
 import burnside.groups
 import burnside.gsets
+import burnside.separability
 from burnside.separability import (
     TensorElement,
     _embed_d13,
@@ -492,7 +496,7 @@ def _random_value(rnd, ring):
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "prod(C2,C2)"])
-@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(6)],
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(6), Zmod(35)],
                          ids=lambda r: r.spec)
 def test_tensor_code_matches_fraction_oracle_on_random_tensors(spec, ring):
     g = build_group(spec)
@@ -509,7 +513,8 @@ def test_tensor_code_matches_fraction_oracle_on_random_tensors(spec, ring):
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "S4", "prod(C2,C2)"])
-@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7)], ids=lambda r: r.spec)
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(35)],
+                         ids=lambda r: r.spec)
 def test_verify_casimir_matches_fraction_oracle_on_witnesses(spec, ring):
     g = build_group(spec)
     n = subgroup_lattice(g).class_count
@@ -532,6 +537,44 @@ def test_verify_casimir_matches_fraction_oracle_on_witnesses(spec, ring):
                                           for row in u.matrix]), False))
     for t, verdict in cases:
         assert verify_casimir(t) == fraction_verify_casimir(t) == verdict
+
+
+def test_casimir_build_and_check_use_neither_action_nor_idempotents(monkeypatch):
+    # both work on the ghost square alone: the witness maps back from
+    # |G|^2 * I, and the check compares the ghost square with d * I
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the ghost square")
+
+    for name in ("tensor_act_left", "tensor_act_right", "idempotent_system"):
+        monkeypatch.setattr(burnside.separability, name, refuse)
+    monkeypatch.setattr(burnside.algebra, "idempotent_system", refuse)
+    for spec, ring in [("S4", QQ), ("D8", Zmod(35)), ("S3", Zmod(5))]:
+        u = casimir_from_idempotents(build_group(spec), ring)
+        assert verify_casimir(u)
+        assert not verify_casimir(TensorElement(u.group, ring, [
+            [ring.add(c, ring.one) for c in row] for row in u.matrix]))
+
+
+# ladder groups of order <= 24; prod(D8,C2) is left out, since a negative
+# verdict over a composite modulus solves its Casimir system in about a minute
+LADDER_SPECS = ("C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "C6", "D8", "Q8",
+                "prod(C2,prod(C2,C2))", "D10", "D12", "D16", "S4")
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(spec=st.sampled_from(LADDER_SPECS), m=st.integers(2, 60),
+       pos=st.integers(0, 2**16))
+def test_ring_separability_verdict_and_witness_property(spec, m, pos):
+    g, ring = build_group(spec), Zmod(m)
+    v = ring_separability(g, ring)
+    assert v.separable == (gcd(g.order, m) == 1)
+    if v.separable:
+        assert verify_casimir(v.witness)
+        n = len(v.witness.matrix)
+        bumped = [list(row) for row in v.witness.matrix]
+        i, j = divmod(pos % (n * n), n)
+        bumped[i][j] = ring.add(bumped[i][j], ring.one)
+        assert not verify_casimir(TensorElement(g, ring, bumped))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=lambda r: r.spec)
