@@ -19,7 +19,10 @@ and ``unghost`` on the rows and the columns of a tensor.
 the tensor code's included; a value that is not integral over Z, or
 whose denominator is not a unit mod m over Z/m, is refused, never
 truncated.  The primitive idempotents (for invertible group order)
-and unit testing live here too.
+live here too: each sums Gluck's integer numerators over the subgroups
+that the lattice's containment index lists below H and leaves the
+integers through ``lower``, as every product does.  So does unit
+testing.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
 units (Dress's description of the prime ideals of B(G)), so ``invert``
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     GroupMismatchError,
@@ -89,16 +92,18 @@ def lift(ring, values) -> tuple:
 def lower(ring, values, d) -> list:
     """Integers over the denominator d back in the ring.
 
-    Over Q the fractions are kept.  Over Z and Z/m each fraction v/d is
-    reduced and its numerator multiplied by the ring inverse of its
-    denominator; a denominator that is not a unit (any but 1 over Z, one
-    not prime to m over Z/m) raises RingMismatchError rather than being
-    truncated.
+    Over Q the fractions are kept.  Over Z/m with d prime to m (d = 1,
+    which every product passes, among them) each value is multiplied by
+    the one inverse of d mod m.  Otherwise each fraction v/d is reduced
+    and its numerator multiplied by the ring inverse of its denominator;
+    a denominator that is not a unit (any but 1 over Z, one not prime to
+    m over Z/m) raises RingMismatchError rather than being truncated.
     """
     if ring == QQ:
         return [Fraction(v, d) for v in values]
-    if d == 1:  # the common case, with nothing to divide
-        return list(map(ring.from_int, values))
+    if gcd(d, m := getattr(ring, "m", 0)) == 1:  # d = +-1 over Z, or prime to m
+        inv = pow(d, -1, m) if m else d
+        return [ring.from_int(v * inv) for v in values]
     fracs = [Fraction(v, d) for v in values]
     for f in fracs:
         if not ring.is_unit(ring.from_int(f.denominator)):
@@ -276,33 +281,37 @@ def idempotent(g: Group, label: str, ring) -> BurnsideElement:
     """The primitive idempotent attached to a subgroup class.
 
     Gluck/Yoshida formula: e_H = |N_G(H)|^-1 * sum over K <= H of
-    |K| mu(K, H) [G/K].  Requires |G| to be a unit in the ring; the
-    division is done by the ring inverse of |N_G(H)|.
+    |K| mu(K, H) [G/K].  Requires |G| to be a unit in the ring.  The
+    integer numerators are summed per class over the subgroups K that
+    the lattice's containment index lists below H, and the nonzero ones
+    leave the integers through one ``lower`` by |N_G(H)|.
     """
-    if not ring.is_unit(ring.from_int(g.order)):
-        raise NotInvertibleError(
-            f"|G| = {g.order} is not a unit in {ring.spec}")
-    lat = subgroup_lattice(g)
-    cls = lat.classes[lat.class_index_of_label(label)]
-    rep_idx = cls.rep_index
-    nrm = g.order // len(cls.member_indices)  # |cl(H)| = |G : N_G(H)|
-    # integer numerators per class, then one ring division by |N_G(H)|
-    numerators = {}
-    for ki, sub in enumerate(lat.subgroups):
-        if lat.leq(ki, rep_idx):
-            mu = lat.moebius_by_index(ki, rep_idx)
-            ci = lat.class_of[ki]
-            numerators[ci] = numerators.get(ci, 0) + sub.order * mu
-    inv_n = ring.inv(ring.from_int(nrm))
-    coeffs = {ci: ring.mul(ring.from_int(num), inv_n)
-              for ci, num in numerators.items() if num != 0}
-    return BurnsideElement(g, ring, coeffs)
+    lat = _unit_order_lattice(g, ring)
+    return _idempotent(lat, lat.classes[lat.class_index_of_label(label)], ring)
 
 
 def idempotent_system(g: Group, ring):
     """All primitive idempotents, in class order."""
-    lat = subgroup_lattice(g)
-    return [idempotent(g, c.label, ring) for c in lat.classes]
+    lat = _unit_order_lattice(g, ring)
+    return [_idempotent(lat, cls, ring) for cls in lat.classes]
+
+
+def _unit_order_lattice(g: Group, ring):
+    """The lattice of g, once |G| is checked to be a unit in the ring."""
+    if not ring.is_unit(ring.from_int(g.order)):
+        raise NotInvertibleError(f"|G| = {g.order} is not a unit in {ring.spec}")
+    return subgroup_lattice(g)
+
+
+def _idempotent(lat, cls, ring) -> BurnsideElement:
+    """e_H for the class cls, with no check on |G|."""
+    h, num = cls.rep_index, [0] * lat.class_count
+    for k in lat.below[h]:
+        num[lat.class_of[k]] += lat.subgroups[k].order * lat.moebius_by_index(k, h)
+    cis = [i for i, v in enumerate(num) if v]
+    # |N_G(H)| = |G| / |cl(H)|
+    return BurnsideElement(lat.group, ring, dict(zip(cis, lower(
+        ring, [num[i] for i in cis], lat.group.order // len(cls.member_indices)))))
 
 
 @dataclass(frozen=True)

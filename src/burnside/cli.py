@@ -55,7 +55,7 @@ def _indented(obj, pad="\n"):
         items = [_encode(k if isinstance(k, str) else _encode(k)) + ": "
                  + _indented(v, inner) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) is int for v in obj):  # bools are not written as ints
+        if {*map(type, obj)} == {int}:  # at C speed; bools are not ints here
             items = map(str, obj)
         else:
             items = [_indented(v, inner) for v in obj]

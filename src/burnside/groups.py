@@ -14,7 +14,9 @@ left coset of H at a time, and a cyclic subgroup inside a join in which
 H already has prime index is skipped, since it would give that join
 again.  Moebius values are computed one row mu(K, -) at a time, when a
 K is first asked for, and the table of marks on first use, from the
-class member masks with no G-set built.
+class member masks with no G-set built.  The containment index (the
+subgroups below each subgroup) is also built on first use, from one
+bitset per element of the subgroups that hold it.
 Lattices live in one bounded LRU keyed by structural equality, so
 independently built copies of a group share one record; hits, inserts
 and evictions all happen under the module lock.  Everything is
@@ -327,7 +329,8 @@ class SubgroupLattice:
 
     Subgroups are sorted by (order, member tuple); class representatives
     are the minimal members of their class under the same order, so the
-    listing is byte-identical across runs.
+    listing is byte-identical across runs.  ``below`` is the containment
+    index: below[h] lists the indices of the subgroups of H.
     """
 
     def __init__(self, group, subgroups, classes, class_of):
@@ -396,6 +399,28 @@ class SubgroupLattice:
             row[h] = 1 if h == k else -sum(
                 row[l] for l in sups[:j] if masks[l] & mh == masks[l])
         return row
+
+    @functools.cached_property
+    def below(self):
+        """below[h]: the indices k of the subgroups K <= H, in increasing k.
+
+        Each element holds a bitset of the subgroups that contain it; the
+        supergroups of K are the AND of those bitsets over K's members,
+        read off as a bit string from k on (no supergroup sorts before K).
+        """
+        subs, holds = self.subgroups, [0] * self.group.order
+        for k, s in enumerate(subs):
+            for x in s.members:
+                holds[x] |= 1 << k
+        below = [[] for _ in subs]
+        for k, s in enumerate(subs):
+            sup = functools.reduce(int.__and__, map(holds.__getitem__, s.members))
+            bits = bin(sup)[:1:-1]
+            h = bits.find("1", k)
+            while h >= 0:
+                below[h].append(k)
+                h = bits.find("1", h + 1)
+        return tuple(map(tuple, below))
 
     @functools.cached_property
     def marks(self):

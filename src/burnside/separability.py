@@ -46,6 +46,7 @@ from .algebra import (
     BurnsideElement,
     NotInvertible,
     _ghost,
+    _unit_order_lattice,
     ghost,
     identity_element,
     idempotent_system,
@@ -60,7 +61,6 @@ from .bisets import gamma
 from .errors import (
     GroupMismatchError,
     InternalInconsistencyError,
-    NotInvertibleError,
     RingMismatchError,
 )
 from .groups import (
@@ -202,9 +202,7 @@ def casimir_from_idempotents(g: Group, ring) -> TensorElement:
     |G| e_H is integral, as |N_G(H)| e_H is, so |G|^2 * I maps back
     exactly and is lowered by |G|^2.
     """
-    if not ring.is_unit(ring.from_int(g.order)):
-        raise NotInvertibleError(f"|G| = {g.order} is not a unit in {ring.spec}")
-    n, d = subgroup_lattice(g).class_count, g.order ** 2
+    n, d = _unit_order_lattice(g, ring).class_count, g.order ** 2
     return _from_ghost_square(g, ring, [[d * (i == j) for j in range(n)]
                                         for i in range(n)], d)
 

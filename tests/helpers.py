@@ -115,6 +115,33 @@ def marks_by_class_masks(lat):
     return tuple(rows)
 
 
+def containment_by_mask_scan(lat):
+    """below[h] for every subgroup H, by testing every pair of masks."""
+    masks = [s.mask for s in lat.subgroups]
+    return tuple(tuple(k for k, mk in enumerate(masks) if mk & mh == mk)
+                 for mh in masks)
+
+
+def idempotent_by_full_scan(g, label, ring):
+    """e_H by the Gluck/Yoshida formula, testing every subgroup K for
+    K <= H with ``lat.leq`` and dividing each integer numerator by the
+    ring inverse of |N_G(H)| one coefficient at a time."""
+    lat = subgroup_lattice(g)
+    cls = lat.classes[lat.class_index_of_label(label)]
+    rep_idx = cls.rep_index
+    nrm = g.order // len(cls.member_indices)  # |cl(H)| = |G : N_G(H)|
+    numerators = {}
+    for ki, sub in enumerate(lat.subgroups):
+        if lat.leq(ki, rep_idx):
+            mu = lat.moebius_by_index(ki, rep_idx)
+            ci = lat.class_of[ki]
+            numerators[ci] = numerators.get(ci, 0) + sub.order * mu
+    inv_n = ring.inv(ring.from_int(nrm))
+    coeffs = {ci: ring.mul(ring.from_int(num), inv_n)
+              for ci, num in numerators.items() if num != 0}
+    return BurnsideElement(g, ring, coeffs)
+
+
 def bareiss_det(a):
     """Exact integer determinant by fraction-free elimination."""
     m = [row[:] for row in a]

@@ -28,9 +28,15 @@ from burnside.errors import (
     NotInvertibleError,
     RingMismatchError,
 )
-from burnside.groups import build_group, normalizer, subgroup_lattice
+from burnside.groups import (
+    SubgroupLattice,
+    build_group,
+    normalizer,
+    subgroup_lattice,
+)
 from burnside.gsets import decompose, fixed_points, product, transitive
 from burnside.rings import QQ, ZZ, Matrix, Solution, Zmod, solve_linear
+from helpers import idempotent_by_full_scan
 
 TEST_SPECS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8"]
 
@@ -136,6 +142,22 @@ def test_lower_honours_the_denominator():
             lower(ring, values, d)
     # d = 1, which every product passes off Q, is reduction into the ring
     assert lower(Zmod(6), [7, -1], 1) == [1, 5]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(m=st.integers(2, 60), d=st.integers(1, 200), sign=st.sampled_from((1, -1)),
+       values=st.lists(st.integers(-10**6, 10**6), max_size=6))
+def test_lower_by_one_inverse_matches_reduced_fractions(m, d, sign, values):
+    # d prime to m: one inverse of d mod m serves every value, and it
+    # gives what reducing each v/d and inverting its denominator gives
+    assume(gcd(d, m) == 1)
+    ring, d = Zmod(m), sign * d
+    fracs = [Fraction(v, d) for v in values]
+    assert lower(ring, values, d) == [
+        ring.mul(f.numerator, ring.inv(ring.from_int(f.denominator)))
+        for f in fracs]
+    # over Z only d = +-1 is prime to 0, and it divides exactly
+    assert lower(ZZ, values, sign) == [sign * v for v in values]
 
 
 @pytest.mark.parametrize("spec", TEST_SPECS)
@@ -268,6 +290,51 @@ def test_idempotent_diagonalizes_multiplication():
         for j in range(lat.class_count):
             a = BurnsideElement.basis(g, QQ, j)
             assert multiply(e, a) == e.scale(mark(a, label))
+
+
+# the benchmark ladders: the lattice and arith groups and C2 up through S5
+LADDER_SPECS = ("C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "C6", "D8", "Q8",
+                "prod(C2,prod(C2,C2))", "D10", "D12", "D16", "S4", "prod(D8,C2)",
+                "prod(S3,S3)", "prod(C2,prod(C2,prod(C2,C2)))", "S5",
+                "prod(S4,C2)", "perm:(1 2 3 4 5);(1 2 3)", "prod(D8,S3)",
+                "prod(C3,S4)", "prod(D8,D8)",
+                "prod(C2,prod(C2,prod(C2,prod(C2,C2))))")
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(35)],
+                         ids=lambda r: r.spec)
+def test_idempotent_system_matches_full_scan_oracle(ring):
+    # the containment index and one lower per idempotent against the
+    # scan of every subgroup with one ring division per coefficient:
+    # equal coefficients of equal Python types
+    checked = 0
+    for spec in LADDER_SPECS:
+        g = build_group(spec)
+        if not ring.is_unit(ring.from_int(g.order)):
+            continue
+        lat = subgroup_lattice(g)
+        for c, e in zip(lat.classes, idempotent_system(g, ring)):
+            o = idempotent_by_full_scan(g, c.label, ring)
+            assert e.coeffs == o.coeffs
+            assert list(map(type, e.coeffs.values())) == list(map(type, o.coeffs.values()))
+            assert idempotent(g, c.label, ring) == e
+        checked += 1
+    assert checked >= 12
+
+
+def test_idempotents_read_the_containment_index_not_leq(monkeypatch):
+    # the sum over K <= H walks lat.below[H]; no pair of subgroups is tested
+    def refuse(*args, **kwargs):
+        raise AssertionError("tested containment with leq")
+
+    monkeypatch.setattr(SubgroupLattice, "leq", refuse)
+    for spec, ring in [("S4", QQ), ("D8", Zmod(35)), ("prod(S3,S3)", Zmod(5)),
+                       ("prod(C2,prod(C2,prod(C2,C2)))", Zmod(7))]:
+        g = build_group(spec)
+        total = BurnsideElement.zero(g, ring)
+        for e in idempotent_system(g, ring):
+            total = total.add(e)
+        assert total == identity_element(g, ring)
 
 
 def test_idempotent_needs_unit_order():

@@ -226,6 +226,25 @@ def test_casimir_witness_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("idempotents", "prod(C2,prod(C2,prod(C2,C2)))", "--ring", "Q"),
+     "c5265f08dfa5ffeb5e09ed43ec015b7d6788e33e297305e5d70a669dd92cdef0"),
+    (("idempotents", "prod(S3,S3)", "--ring", "Z/5"),
+     "9b346033f5f8d1c4473fe5bd419615024c621b6c9bb3bd18a74b5e0418e795af"),
+    (("idempotents", "prod(D8,C2)", "--ring", "Z/35"),
+     "5c65152794a7a4b4a671ee44a626c7153b09bebda6121237d079ff8ff0129bc9"),
+    (("gamma", "S4", "--ring", "Z/5", "--invert"),
+     "9febbe0465b157345401bec3cb7357e749726ba3d9e81ab4caf167d5f0617194"),
+])
+def test_idempotent_and_inverse_json_bytes(capsys, argv, digest):
+    # pinned from idempotents read off a scan of every subgroup and
+    # divided by |N_G(H)| one coefficient at a time, and from an inverse
+    # lowered through reduced fractions
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

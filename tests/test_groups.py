@@ -33,13 +33,14 @@ from burnside.groups import (
 
 from helpers import (
     assoc_holds_everywhere,
+    containment_by_mask_scan,
     generated_subgroup,
     generating_set,
     marks_by_class_masks,
     moebius_by_zeta_inverse,
     subgroups_by_powerset,
 )
-from test_algebra import TEST_SPECS
+from test_algebra import LADDER_SPECS, TEST_SPECS
 
 
 C2_5 = "prod(C2,prod(C2,prod(C2,prod(C2,C2))))"
@@ -450,6 +451,14 @@ def test_marks_match_class_mask_oracle(spec):
     # replaced, which tests every class member against every column rep
     lat = subgroup_lattice(build_group(spec))
     assert lat.marks == marks_by_class_masks(lat)
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS)
+def test_containment_index_matches_mask_scan(spec):
+    # bitsets of the subgroups holding each element, ANDed over K's
+    # members, against testing every pair of masks
+    lat = subgroup_lattice(build_group(spec))
+    assert lat.below == containment_by_mask_scan(lat)
 
 
 def test_lattice_cap_is_checked_during_enumeration(monkeypatch):
