@@ -10,10 +10,10 @@ group of the square.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import errors
 from .algebra import (
@@ -304,70 +304,125 @@ def cmd_derivations(g, ring, args):
     return payload, lines
 
 
-def build_parser():
-    # global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit exactly one JSON document on stdout")
-    common.add_argument("--max-order", default=argparse.SUPPRESS,
-                        help="reject groups larger than this (also via "
-                             "BURNSIDE_MAX_ORDER; hard cap 255)")
+# Each command's words map to (handler, positional names, takes --ring,
+# help line).  Every command takes --json and --max-order; --invert is
+# gamma's alone.
+COMMANDS = {
+    "group info": (cmd_group_info, ("spec",), False,
+                   "order, abelianness, element classes"),
+    "subgroups": (cmd_subgroups, ("spec",), False, "subgroup lattice summary"),
+    "tom": (cmd_tom, ("spec",), False, "table of marks"),
+    "idempotents": (cmd_idempotents, ("spec",), True,
+                    "primitive idempotents (|G| a unit)"),
+    "gamma": (cmd_gamma, ("spec",), True,
+              "conjugation class; --invert also inverts it"),
+    "mackey-check": (cmd_mackey_check, ("spec",), False,
+                     "verify restrict(induce(x)) = gamma * x on the basis"),
+    "separable": (cmd_separable, ("what", "spec"), True,
+                  "separability verdicts"),
+    "commutant": (cmd_commutant, ("spec",), True,
+                  "solutions of the two-sided diagonal condition"),
+    "derivations": (cmd_derivations, ("spec",), True,
+                    "derivation space of the algebra"),
+}
+_CHOICES = {"what": ("ring", "functor")}
 
-    parser = argparse.ArgumentParser(
-        prog="burnside",
-        parents=[common],
-        description="Exact Burnside ring computations for small finite groups. "
-                    "Group specs: C<n>, D<n> (D<n> has ORDER n), S<n> (degree "
-                    "<= 5), Q8, perm:<cycles>;..., prod(<spec>,<spec>). "
-                    "Rings: Z, Q, Z/<m>.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name, func, help, ring=True, what=False):
-        p = subparsers.add_parser(name, parents=[common], help=help)
-        if what:
-            p.add_argument("what", choices=["ring", "functor"])
-        p.add_argument("spec")
-        if ring:
-            p.add_argument("--ring", required=True)
-        p.set_defaults(func=func)
-        return p
+def _synopsis(key):
+    _, names, takes_ring, _ = COMMANDS[key]
+    words = [key, *("|".join(_CHOICES[n]) if n in _CHOICES else f"<{n}>"
+                    for n in names)]
+    if takes_ring:
+        words.append("--ring R")
+    return " ".join(words)
 
-    gsub = sub.add_parser("group", help="group-level queries").add_subparsers(
-        dest="group_command", required=True)
-    command(gsub, "info", cmd_group_info,
-            "order, abelianness, element classes", ring=False)
-    command(sub, "subgroups", cmd_subgroups, "subgroup lattice summary",
-            ring=False)
-    command(sub, "tom", cmd_tom, "table of marks", ring=False)
-    command(sub, "idempotents", cmd_idempotents,
-            "primitive idempotents (|G| a unit)")
-    command(sub, "gamma", cmd_gamma,
-            "conjugation class, optionally inverted").add_argument(
-                "--invert", action="store_true")
-    command(sub, "mackey-check", cmd_mackey_check,
-            "verify restrict(induce(x)) = gamma * x on the basis", ring=False)
-    command(sub, "separable", cmd_separable, "separability verdicts", what=True)
-    command(sub, "commutant", cmd_commutant,
-            "solutions of the two-sided diagonal condition")
-    command(sub, "derivations", cmd_derivations,
-            "derivation space of the algebra")
-    return parser
+
+def _help():
+    synopses = {key: _synopsis(key) for key in COMMANDS}
+    width = max(map(len, synopses.values())) + 2
+    return "\n".join([
+        "usage: burnside [group] <command> [ring|functor] <spec> [--ring R] "
+        "[--invert] [--json] [--max-order N]", "",
+        "Exact Burnside ring computations for small finite groups.", "",
+        "commands:",
+        *(f"  {synopses[key]:<{width}}{text}"
+          for key, (_, _, _, text) in COMMANDS.items()),
+        "",
+        "options (anywhere on the line, as --opt value or --opt=value):",
+        "  --ring R         coefficient ring",
+        "  --invert         invert gamma (gamma only)",
+        "  --json           emit exactly one JSON document on stdout",
+        "  --max-order N    reject groups larger than N (also via",
+        "                   BURNSIDE_MAX_ORDER; hard cap 255)",
+        "  -h, --help       print this help",
+        "",
+        "Group specs: C<n>, D<n> (D<n> has ORDER n), S<n> (degree <= 5), Q8,",
+        "perm:<cycles>;..., prod(<spec>,<spec>).  Rings: Z, Q, Z/<m>.",
+        "Errors are one line E_<CODE>: message on stderr, exit code 2.",
+    ])
+
+
+def parse_argv(argv) -> SimpleNamespace:
+    """Read argv against ``COMMANDS``; every error is a ``ParseError``.
+
+    Options go anywhere: before, between or after the words.  The
+    namespace holds ``func``, each positional by name, ``json`` and
+    ``invert`` (bools), and ``ring`` and ``max_order`` (None when absent).
+    """
+    args = SimpleNamespace(json=False, invert=False, ring=None, max_order=None)
+    words = []
+    rest = iter(argv)
+    for word in rest:
+        if not word.startswith("-"):
+            words.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        if name in ("--json", "--invert") and not eq:
+            setattr(args, name[2:], True)
+        elif name in ("--ring", "--max-order"):
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise errors.ParseError(f"{name} needs a value")
+            setattr(args, name[2:].replace("-", "_"), value)
+        else:
+            raise errors.ParseError(f"unknown option {word!r}")
+    n = 2 if " ".join(words[:2]) in COMMANDS else 1
+    key = " ".join(words[:n])
+    if key not in COMMANDS:
+        what = f"unknown command {key!r}" if words else "no command given"
+        raise errors.ParseError(f"{what}; expected one of: {', '.join(COMMANDS)}")
+    func, names, takes_ring, _ = COMMANDS[key]
+    given = words[n:]
+    if len(given) != len(names):
+        problem = (f"missing <{names[len(given)]}>" if len(given) < len(names)
+                   else f"unexpected argument {given[len(names)]!r}")
+        raise errors.ParseError(f"{key}: {problem} (usage: {_synopsis(key)})")
+    for name, value in zip(names, given):
+        choices = _CHOICES.get(name)
+        if choices and value not in choices:
+            raise errors.ParseError(f"{key}: {name} must be "
+                                    f"{' or '.join(choices)}, not {value!r}")
+        setattr(args, name, value)
+    if takes_ring != (args.ring is not None):
+        raise errors.ParseError(f"{key} {'needs' if takes_ring else 'takes no'} "
+                                f"--ring (usage: {_synopsis(key)})")
+    if args.invert and key != "gamma":
+        raise errors.ParseError(f"--invert applies to gamma only, not {key}")
+    args.func = func
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # the shared flags use SUPPRESS so a pre-subcommand value survives;
-    # fill the defaults here when the flag never appeared
-    if not hasattr(args, "json"):
-        args.json = False
-    if not hasattr(args, "max_order"):
-        args.max_order = None
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        return 0
     try:
+        args = parse_argv(argv)
         # the group is parsed before the ring, so a bad pair reports the group
         g = build_group(args.spec, max_order=_max_order(args))
-        ring = ring_from_spec(args.ring) if hasattr(args, "ring") else None
+        ring = ring_from_spec(args.ring) if args.ring is not None else None
         _emit(*args.func(g, ring, args), args.json)
         return 0
     except errors.BurnsideError as exc:

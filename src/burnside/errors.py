@@ -11,7 +11,9 @@ class BurnsideError(Exception):
 
 
 class ParseError(BurnsideError):
-    """Bad group-spec or ring-spec grammar."""
+    """Bad grammar: a group spec, a ring spec, or the command line itself
+    (an unknown command or option, a missing or extra word, a missing
+    option value)."""
 
     code = "E_PARSE"
 

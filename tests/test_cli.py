@@ -315,6 +315,119 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
         assert err.startswith("E_PARSE:") and err.count("\n") == 1, (bad, err)
 
 
+
+_EXPECTED = ("expected one of: group info, subgroups, tom, idempotents, gamma, "
+             "mackey-check, separable, commutant, derivations")
+
+
+@pytest.mark.parametrize("argv,line", [
+    ((), f"no command given; {_EXPECTED}"),
+    (("--json",), f"no command given; {_EXPECTED}"),
+    (("frob", "C2"), f"unknown command 'frob'; {_EXPECTED}"),
+    (("group", "S3"), f"unknown command 'group'; {_EXPECTED}"),
+    (("tom",), "tom: missing <spec> (usage: tom <spec>)"),
+    (("group", "info", "--json"),
+     "group info: missing <spec> (usage: group info <spec>)"),
+    (("separable", "ring", "--ring", "Q"),
+     "separable: missing <spec> "
+     "(usage: separable ring|functor <spec> --ring R)"),
+    (("tom", "C2", "C3"), "tom: unexpected argument 'C3' (usage: tom <spec>)"),
+    (("separable", "ring", "C2", "C2", "--ring", "Q"),
+     "separable: unexpected argument 'C2' "
+     "(usage: separable ring|functor <spec> --ring R)"),
+    (("separable", "both", "C2", "--ring", "Q"),
+     "separable: what must be ring or functor, not 'both'"),
+    (("separable", "C2", "--ring", "Q"),
+     "separable: missing <spec> "
+     "(usage: separable ring|functor <spec> --ring R)"),
+    (("idempotents", "C2"),
+     "idempotents needs --ring (usage: idempotents <spec> --ring R)"),
+    (("tom", "C2", "--ring", "Q"), "tom takes no --ring (usage: tom <spec>)"),
+    (("tom", "C2", "--ring=Q"), "tom takes no --ring (usage: tom <spec>)"),
+    (("gamma", "C2", "--ring"), "--ring needs a value"),
+    (("tom", "C2", "--max-order"), "--max-order needs a value"),
+    (("tom", "C2", "--invert"), "--invert applies to gamma only, not tom"),
+    (("tom", "C2", "--frob"), "unknown option '--frob'"),
+    # argparse's prefix abbreviations are gone
+    (("tom", "C2", "--js"), "unknown option '--js'"),
+    (("tom", "C2", "--json=1"), "unknown option '--json=1'"),
+    (("tom", "-x", "C2"), "unknown option '-x'"),
+])
+def test_argv_errors_are_one_e_parse_line(capsys, argv, line):
+    # a bad command line is an error like any other: one E_PARSE line on
+    # stderr and exit code 2, returned rather than raised as SystemExit
+    assert run_cli(capsys, *argv) == (2, "", f"E_PARSE: {line}\n")
+
+
+_SWEEP_GROUPS = (("C2", "Z/5"), ("C3", "Q"), ("S3", "Z/5"), ("prod(C2,C2)", "Q"))
+# (command words, positionals before the spec, takes --ring, extra flags)
+_SWEEP_SHAPES = (
+    (("group", "info"), (), False, ()), (("subgroups",), (), False, ()),
+    (("tom",), (), False, ()), (("mackey-check",), (), False, ()),
+    (("idempotents",), (), True, ()), (("gamma",), (), True, ()),
+    (("gamma",), (), True, ("--invert",)),
+    (("separable",), ("ring",), True, ()),
+    (("separable",), ("functor",), True, ()),
+    (("commutant",), (), True, ()), (("derivations",), (), True, ()),
+)
+
+
+def _argv_sweep():
+    """Every command shape on four groups, text and --json, with the flags
+    after, before and between the words, --ring both ways, --max-order=24
+    and --json given twice."""
+    for gi, (spec, ring) in enumerate(_SWEEP_GROUPS):
+        for si, (words, what, takes_ring, extra) in enumerate(_SWEEP_SHAPES):
+            for as_json in (False, True):
+                k = gi + si + as_json
+                local = [*((f"--ring={ring}",) if k % 2 else ("--ring", ring))
+                         * takes_ring, *extra]
+                shared = (["--json"] * as_json * (1 + (k % 4 == 3))
+                          + ["--max-order=24"] * (k % 5 == 1))
+                pos = [*what, spec]
+                if k % 3 == 0:
+                    yield [*words, *pos, *local, *shared]
+                elif k % 3 == 1:
+                    yield [*shared, *words, *local, *pos]
+                else:
+                    yield [*shared[:1], *words, *pos[:-1], *local, *shared[1:],
+                           pos[-1]]
+
+
+def test_valid_argv_sweep_digest(capsys):
+    # one sha256 over (argv, exit code, stdout) of the sweep, pinned from
+    # the argparse command line this parser replaced
+    h = hashlib.sha256()
+    for argv in _argv_sweep():
+        code, out, err = run_cli(capsys, *argv)
+        assert err == "", argv
+        h.update(json.dumps([argv, code, out]).encode())
+    assert h.hexdigest() == ("34edaf8948ba38c86893828bac65ad42"
+                             "557c0970e37614fcbf997e565bc83555")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), ("tom", "--help"), ("--json", "-h", "tom", "C2"),
+    ("separable", "ring", "C2", "--ring", "Q", "-h"), ("frob", "--help"),
+])
+def test_help_names_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: burnside ")
+    for key in burnside.cli.COMMANDS:
+        assert f"\n  {key} " in out, key
+
+
+def test_import_leaves_argparse_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import burnside.cli, sys; print('argparse' in sys.modules)"],
+        capture_output=True, env=env, check=True).stdout
+    assert out == b"False\n"
+
 TEXT_ARGV = (
     "group info S3", "subgroups D8", "tom S3", "idempotents S3 --ring Q",
     "gamma S3 --ring Q --invert", "gamma S3 --ring Z/6 --invert",
@@ -395,17 +508,38 @@ _COMMANDS = (
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+# how the argv is broken, if at all: the spec dropped, one word too many,
+# or an option no command knows
+_BROKEN = st.sampled_from((None, None, "drop spec", "extra word", "unknown flag"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(_COMMANDS), spec=_SPEC,
-       ring=_RINGS, as_json=st.booleans())
-def test_fuzz_exit_codes(capsys, command, spec, ring, as_json):
+       ring=_RINGS, as_json=st.booleans(), ring_eq=st.booleans(),
+       slots=st.lists(st.integers(0, 4), min_size=5, max_size=5),
+       broken=_BROKEN)
+def test_fuzz_exit_codes(capsys, command, spec, ring, as_json, ring_eq, slots,
+                         broken):
     head, takes_ring, tail = command
-    argv = [*head, spec, *(("--ring", ring) if takes_ring else ()), *tail,
-            "--max-order", "24", *(("--json",) if as_json else ())]
+    words = [*head, *(() if broken == "drop spec" else (spec,)),
+             *(("C2",) if broken == "extra word" else ())]
+    options = [((f"--ring={ring}",) if ring_eq else ("--ring", ring)) * takes_ring,
+               tail, ("--max-order", "24"), ("--json",) * as_json,
+               ("--frob",) * (broken == "unknown flag")]
+    # each option goes in whole before the word at its slot (or at the
+    # end), so flags land before, between and after the words
+    argv = []
+    for i in range(len(words) + 1):
+        for option, slot in zip(options, slots):
+            if min(slot, len(words)) == i:
+                argv += option
+        argv += words[i:i + 1]
     code, out, err = run_cli(capsys, *argv)
     assert code in (0, 2), argv
     assert "E_INTERNAL" not in err, (argv, err)
+    if broken:
+        assert code == 2 and err.startswith("E_PARSE: "), argv
     if code == 2:
         assert out == "" and err.startswith("E_") and err.count("\n") == 1, argv
         return
