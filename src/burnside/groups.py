@@ -10,13 +10,14 @@ Subgroups are found by cyclic extension over bitmasks: one
 representative per conjugacy class is joined with cyclic subgroups of
 prime-power order, and each new subgroup brings in its conjugation orbit
 (Neubueser's method, as in Pfeiffer 1997).  A join <H, z> is built one
-left coset of H at a time, and a cyclic subgroup inside a join in which
+left coset of H at a time.  A cyclic subgroup inside a join in which
 H already has prime index is skipped, since it would give that join
-again.  Moebius values are computed one row mu(K, -) at a time, when a
-K is first asked for, and the table of marks on first use, from the
-class member masks with no G-set built.  The containment index (the
-subgroups below each subgroup) is also built on first use, from one
-bitset per element of the subgroups that hold it.
+again, and so is a conjugate under H of one already joined, since it
+would give a conjugate of that join.  Moebius values are computed one
+row mu(K, -) at a time, when a K is first asked for, and the table of
+marks on first use, from the class member masks with no G-set built.
+The containment index (the subgroups below each subgroup) is also built
+on first use, from one bitset per element of the subgroups that hold it.
 Lattices live in one bounded LRU keyed by structural equality, so
 independently built copies of a group share one record; hits, inserts
 and evictions all happen under the module lock.  Everything is
@@ -541,7 +542,11 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     conjugation orbit, which is its class.  Once a join K = <H, z> has
     prime index over H, H is maximal in K, so <H, z'> = K for every zuppo
     <z'> inside K but not H; such zuppos are skipped, which leaves the
-    subgroups found, and the order they are found in, unchanged.
+    subgroups found, and the order they are found in, unchanged.  For h
+    in H, <H, z^h> = <H, z>^h is conjugate to <H, z>, so once z is joined
+    the other zuppos in its orbit under conjugation by H's generators are
+    skipped as well: their joins would only give a class already found.
+    A generator that fixes every zuppo is left out of that action.
     ResourceBoundError is raised as soon as more than DEFAULT_SUBGROUP_CAP
     subgroups are found.  The result is kept in an LRU of the
     LATTICE_CACHE_SIZE most recent groups.
@@ -554,11 +559,22 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
             return lat
 
     mul, e = g.mul_table, g.identity
-    zuppos = {}  # mask of each zuppo -> one generator of it
+    zuppos = {}  # mask of each zuppo -> its number, in first-seen order
+    zid = {}  # element of prime-power order -> number of its zuppo
+    zgens = []  # the least generator of each zuppo
     for x in g.elements():
         members, mask, _ = _join(mul, [e], 1 << e, (), x)
         if len(members) > 1 and _is_prime_power(len(members)):
-            zuppos.setdefault(mask, x)
+            zid[x] = i = zuppos.setdefault(mask, len(zuppos))
+            if i == len(zgens):
+                zgens.append(x)
+
+    @functools.cache
+    def zmap(s):  # zuppo numbers under conjugation by s; None if all fixed
+        row_s, s_inv = mul[s], g.inv_table[s]
+        m = tuple(zid[mul[row_s[z]][s_inv]] for z in zgens)
+        return None if m == tuple(range(len(m))) else m
+
     # a central generator conjugates every subgroup to itself, which is
     # already in orbit_of, so only the others are kept
     identity = tuple(g.elements())
@@ -568,15 +584,25 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     reps = [([e], 1 << e, ())]  # (members, mask, generators) per class
     primes = {p for p in range(2, g.order + 1) if _is_prime(p)}
     for members, mask, gens in reps:  # also visits the classes it appends
-        # H and the joins in which H has prime index; a zuppo lies in one
-        # of them when its generator does
-        covered = mask
-        for z in zuppos.values():
-            if covered >> z & 1:
+        # covered: H and the joins in which H has prime index; a zuppo lies
+        # in one of them when its generator does.  tried: the numbers of the
+        # zuppos joined and of their conjugates under H.  Only generators of
+        # H that move some zuppo act, and none does when g is abelian.
+        maps = conj_by and [m for m in map(zmap, gens) if m]
+        covered, tried = mask, 0
+        for i, z in enumerate(zgens):
+            if covered >> z & 1 or tried >> i & 1:
                 continue
             k = _join(mul, members, mask, gens, z)
             if len(k[0]) // len(members) in primes:
                 covered |= k[1]
+            if maps:  # <H, z^h> = <H, z>^h for h in H: the same class
+                orbit, tried = [i], tried | 1 << i
+                for j in orbit:
+                    for m in maps:
+                        if not tried >> m[j] & 1:
+                            tried |= 1 << m[j]
+                            orbit.append(m[j])
             if k[1] in orbit_of:
                 continue
             orbit_of[k[1]] = len(reps)

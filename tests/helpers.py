@@ -17,6 +17,9 @@ from burnside.algebra import (
 from burnside.errors import GroupMismatchError, RingMismatchError
 from burnside.groups import (
     Group,
+    _is_prime,
+    _is_prime_power,
+    _join,
     cubed,
     squared,
     subgroup_lattice,
@@ -75,6 +78,55 @@ def generating_set(g, members):
             gens.append(x)
             span = set(generated_subgroup(g, gens))
     return gens
+
+
+def lattice_by_every_zuppo(g):
+    """(subgroup member tuples, classes, class_of) by cyclic extension that
+    joins each class representative with every zuppo outside it and
+    outside the joins in which it has prime index, with no skip of
+    conjugate zuppos.  Each class is (label, rep_index, member_indices)."""
+    mul, e = g.mul_table, g.identity
+    zuppos = {}  # mask of each zuppo -> its least generator
+    for x in g.elements():
+        members, mask, _ = _join(mul, [e], 1 << e, (), x)
+        if len(members) > 1 and _is_prime_power(len(members)):
+            zuppos.setdefault(mask, x)
+    conj_by = [[g.conj(s, x) for x in g.elements()] for s in g.generators]
+    orbit_of = {1 << e: 0}  # subgroup mask -> number of its class
+    reps = [([e], 1 << e, ())]
+    for members, mask, gens in reps:
+        covered = mask
+        for z in zuppos.values():
+            if covered >> z & 1:
+                continue
+            k = _join(mul, members, mask, gens, z)
+            if _is_prime(len(k[0]) // len(members)):
+                covered |= k[1]
+            if k[1] in orbit_of:
+                continue
+            orbit_of[k[1]] = len(reps)
+            orbit = [k[0]]
+            for h in orbit:
+                for perm in conj_by:
+                    c = [perm[x] for x in h]
+                    cmask = sum(1 << x for x in c)
+                    if cmask not in orbit_of:
+                        orbit_of[cmask] = len(reps)
+                        orbit.append(c)
+            reps.append(k)
+    subs = sorted((tuple(x for x in g.elements() if m >> x & 1) for m in orbit_of),
+                  key=lambda s: (len(s), s))
+    buckets = {}
+    for i, s in enumerate(subs):
+        buckets.setdefault(orbit_of[sum(1 << x for x in s)], []).append(i)
+    classes, class_of, rank = [], [0] * len(subs), {}
+    for idxs in sorted(buckets.values()):  # by least member, so by order first
+        order = len(subs[idxs[0]])
+        rank[order] = rank.get(order, 0) + 1
+        for i in idxs:
+            class_of[i] = len(classes)
+        classes.append((f"{order}#{rank[order]}", idxs[0], tuple(idxs)))
+    return subs, classes, class_of
 
 
 def moebius_by_zeta_inverse(lat):

@@ -183,6 +183,23 @@ def test_rational_json_bytes(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("argv,digest", [
+    (("subgroups", "S5"),
+     "bbc444383691ed6f565dc6b7e9c8e0e278de99050a175bd46707eb5b96e04a23"),
+    (("tom", "prod(S4,S3)"),
+     "aa1d9cf9df71b86327aa37c3a65eacad7b992bcd6ce1d78e736590155b3da39f"),
+    (("mackey-check", "D12"),
+     "9e3afaa1f84a90078440de6608561bb5b183734892f710617b02a9f75b081b2b"),
+])
+def test_lattice_json_bytes(capsys, argv, digest):
+    # pinned from the cyclic extension that joined every zuppo outside H,
+    # conjugates under H included; commutant D12 --ring Q, whose lattice is
+    # that of prod(D12,D12), is pinned in test_rational_json_bytes
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
     (("commutant", "prod(C2,prod(C2,C2))", "--ring", "Q"),
      "1400dc70ee08359f36b71f0a733c8fdf642f0fa1d74e212a313475f2d1b96ab0"),
     (("separable", "ring", "prod(S3,S3)", "--ring", "Z/2"),

@@ -5,6 +5,8 @@ from collections import OrderedDict
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside.errors import (
     NotAGroupError,
@@ -36,6 +38,7 @@ from helpers import (
     containment_by_mask_scan,
     generated_subgroup,
     generating_set,
+    lattice_by_every_zuppo,
     marks_by_class_masks,
     moebius_by_zeta_inverse,
     subgroups_by_powerset,
@@ -403,6 +406,61 @@ def test_prime_index_skip_bounds_the_joins(monkeypatch):
     assert len(calls) <= 2200
 
 
+@pytest.mark.parametrize("spec,joins", [("prod(D8,D8)", 3000), ("S5", 300)])
+def test_conjugate_zuppo_skip_bounds_the_joins(monkeypatch, spec, joins):
+    from burnside import groups
+    g = build_group(spec)
+    monkeypatch.setattr(groups, "_LATTICE_CACHE", OrderedDict())
+    calls = []
+    join = groups._join
+    monkeypatch.setattr(groups, "_join", lambda *a: calls.append(a) or join(*a))
+    subgroup_lattice(g)
+    # |G| joins find the zuppos; joining every zuppo outside H and its
+    # prime-index joins, conjugate or not, makes 4301 and 714 more
+    assert len(calls) <= g.order + joins
+
+
+def _lattice_layout(lat):
+    return ([s.members for s in lat.subgroups],
+            [(c.label, c.rep_index, c.member_indices) for c in lat.classes],
+            list(lat.class_of))
+
+
+@pytest.mark.parametrize("spec", [
+    "S4", "D16", "prod(S3,S3)", C2_5, "prod(S4,C2)", A5, "prod(D8,S3)",
+    "prod(C3,S4)", "prod(D8,D8)", "S5", "Q8", "C1", "prod(Q8,D8)",
+    "prod(S4,S3)", "prod(D12,D12)"])
+def test_lattice_matches_every_zuppo_oracle(spec):
+    g = build_group(spec)
+    assert _lattice_layout(subgroup_lattice(g)) == lattice_by_every_zuppo(g)
+
+
+def _cycles(perm):
+    """Cycle notation of a permutation of 1..n given as a tuple of images."""
+    seen, out = set(), []
+    for p in perm:
+        cycle = []
+        while p not in seen:
+            seen.add(p)
+            cycle.append(str(p))
+            p = perm[p - 1]
+        if len(cycle) > 1:
+            out.append("(" + " ".join(cycle) + ")")
+    return "".join(out)
+
+
+_PERM_GENS = st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.permutations(range(1, n + 1)).filter(lambda p: p != sorted(p)),
+    min_size=1, max_size=3))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(gens=_PERM_GENS)
+def test_random_perm_lattices_match_every_zuppo_oracle(gens):
+    g = build_group("perm:" + ";".join(_cycles(p) for p in gens))
+    assert _lattice_layout(subgroup_lattice(g)) == lattice_by_every_zuppo(g)
+
+
 def test_is_homomorphism_checks_the_identity_and_every_generator():
     c1, c2, c4 = build_group("C1"), build_group("C2"), build_group("C4")
     v4 = build_group("prod(C2,C2)")
@@ -434,10 +492,14 @@ def test_lattice_counts_of_larger_groups(spec, n_subs, n_classes):
     ("prod(S3,S3)", "1dcf743efb212ac7"),
     ("prod(D8,D8)", "dded4d997a332d00"),
     ("perm:(1 2)(3 4 5 6);(1 2)(3 4)", "7504820436472a0c"),  # S4 on 6 points
+    ("S5", "047489b228611cf5"),
+    ("prod(S4,S3)", "306e3aa98d447b86"),
+    ("prod(D12,D12)", "6552a4afe4955f34"),
 ])
 def test_lattice_layout_is_pinned(spec, digest):
     # members, labels, representatives and class map, as recorded from the
-    # earlier breadth-first enumeration over generator sets
+    # earlier breadth-first enumeration over generator sets; the last three
+    # from the cyclic extension that joined every zuppo, conjugates included
     lat = subgroup_lattice(build_group(spec))
     layout = [[list(s.members) for s in lat.subgroups], lat.labels(),
               [c.rep_index for c in lat.classes], list(lat.class_of)]
