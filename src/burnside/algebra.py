@@ -40,6 +40,7 @@ from math import gcd, lcm
 from .errors import (
     GroupMismatchError,
     InternalInconsistencyError,
+    NotContainedError,
     NotInvertibleError,
     RingMismatchError,
 )
@@ -162,7 +163,8 @@ class BurnsideElement:
     """An element of the Burnside algebra: class index -> coefficient.
 
     Zero coefficients are dropped on construction, so equal elements have
-    equal coefficient dictionaries.
+    equal coefficient dictionaries.  A class index outside 0..n-1, n the
+    number of subgroup classes, raises NotContainedError.
     """
 
     __slots__ = ("group", "ring", "coeffs")
@@ -170,8 +172,11 @@ class BurnsideElement:
     def __init__(self, group: Group, ring, coeffs: dict):
         self.group = group
         self.ring = ring
-        self.coeffs = {k: coeffs[k] for k in sorted(coeffs)
-                       if not ring.is_zero(coeffs[k])}
+        keys = sorted(coeffs)
+        if keys and (keys[0] < 0 or keys[-1] >= subgroup_lattice(group).class_count):
+            k = keys[0] if keys[0] < 0 else keys[-1]
+            raise NotContainedError(f"no subgroup class {k} in {group.label}")
+        self.coeffs = {k: coeffs[k] for k in keys if not ring.is_zero(coeffs[k])}
 
     @classmethod
     def zero(cls, group, ring):

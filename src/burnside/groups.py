@@ -13,11 +13,14 @@ prime-power order, and each new subgroup brings in its conjugation orbit
 left coset of H at a time.  A cyclic subgroup inside a join in which
 H already has prime index is skipped, since it would give that join
 again, and so is a conjugate under H of one already joined, since it
-would give a conjugate of that join.  Moebius values are computed one
-row mu(K, -) at a time, when a K is first asked for, and the table of
-marks on first use, from the class member masks with no G-set built.
-The containment index (the subgroups below each subgroup) is also built
-on first use, from one bitset per element of the subgroups that hold it.
+would give a conjugate of that join.  The subgroups are sorted by
+(order, members), and classes are numbered in the order their first
+member comes.  Containment is read from one index, built on first use:
+one bitset per element of the subgroups that hold it.  The supergroups
+of K are the AND of those bitsets over K's members.  The subgroups
+below each subgroup, the table of marks (with no G-set built) and the
+Moebius rows mu(K, -), each computed when a K is first asked for, all
+read K's supergroups from there.
 Lattices live in one bounded LRU keyed by structural equality, so
 independently built copies of a group share one record; hits, inserts
 and evictions all happen under the module lock.  Everything is
@@ -200,11 +203,11 @@ class Subgroup:
 
     def __init__(self, parent: Group, members):
         self.parent = parent
-        self.members = tuple(sorted(set(int(x) for x in members)))
+        self.members = tuple(sorted(set(members)))
+        self._check()
         self.mask = 0
         for x in self.members:
             self.mask |= 1 << x
-        self._check()
         self._as_group = None
         self._generators = None
 
@@ -213,11 +216,12 @@ class Subgroup:
         if not self.members:
             raise NotAGroupError("subgroup cannot be empty")
         for x in self.members:
-            if not (0 <= x < g.order):
+            # an element is an int: 1.5 is refused, not truncated to 1
+            if not (isinstance(x, int) and 0 <= x < g.order):
                 raise NotContainedError(f"element {x} outside parent group")
-        if g.identity not in set(self.members):
-            raise NotAGroupError("subgroup lacks the identity")
         mset = set(self.members)
+        if g.identity not in mset:
+            raise NotAGroupError("subgroup lacks the identity")
         for a in self.members:
             if g.inv_table[a] not in mset:
                 raise NotAGroupError("subgroup not closed under inverse")
@@ -228,9 +232,6 @@ class Subgroup:
     @property
     def order(self):
         return len(self.members)
-
-    def index(self):
-        return self.parent.order // self.order
 
     def leq(self, other: "Subgroup"):
         return (self.parent == other.parent
@@ -328,10 +329,12 @@ class SubgroupClass:
 class SubgroupLattice:
     """All subgroups of a group, conjugacy classes and Moebius values.
 
-    Subgroups are sorted by (order, member tuple); class representatives
-    are the minimal members of their class under the same order, so the
-    listing is byte-identical across runs.  ``below`` is the containment
-    index: below[h] lists the indices of the subgroups of H.
+    Subgroups are sorted by (order, member tuple) and classes are
+    numbered as their first member is met, so each class representative
+    is its least member and the listing is byte-identical across runs.
+    ``_holds`` is the containment index: the bitset, per element, of the
+    subgroups that hold it.  ``_above``, ``below``, ``marks`` and the
+    Moebius rows all read containment from it.
     """
 
     def __init__(self, group, subgroups, classes, class_of):
@@ -388,12 +391,12 @@ class SubgroupLattice:
     def _moebius_row(self, k):
         """Moebius values mu(K, H) for every H >= K, K the subgroup at k.
 
-        mu(K, K) = 1 and mu(K, H) = -sum of mu(K, L) over K <= L < H; the
-        subgroups are sorted by order, so each L comes before H.
+        mu(K, K) = 1 and mu(K, H) = -sum of mu(K, L) over K <= L < H.  The
+        H run over ``_above(k)``, which is increasing, and the subgroups
+        are sorted by order, so each L comes before H.
         """
         masks = [s.mask for s in self.subgroups]
-        mk = masks[k]
-        sups = [h for h in range(k, len(masks)) if mk & masks[h] == mk]
+        sups = self._above(k)
         row = {}
         for j, h in enumerate(sups):
             mh = masks[h]
@@ -402,25 +405,39 @@ class SubgroupLattice:
         return row
 
     @functools.cached_property
+    def _holds(self):
+        """_holds[x]: the bitset of the indices of the subgroups holding x."""
+        holds = [0] * self.group.order
+        for k, s in enumerate(self.subgroups):
+            for x in s.members:
+                holds[x] |= 1 << k
+        return tuple(holds)
+
+    def _above(self, k):
+        """The indices h of the subgroups H >= K, K the subgroup at k, in
+        increasing h.
+
+        They are the AND of ``_holds`` over K's members, read off as a bit
+        string from k on (no supergroup sorts before K).
+        """
+        holds = self._holds
+        sup = functools.reduce(int.__and__, map(holds.__getitem__,
+                                                 self.subgroups[k].members))
+        bits, above, h = bin(sup)[:1:-1], [], k - 1
+        while (h := bits.find("1", h + 1)) >= 0:
+            above.append(h)
+        return above
+
+    @functools.cached_property
     def below(self):
         """below[h]: the indices k of the subgroups K <= H, in increasing k.
 
-        Each element holds a bitset of the subgroups that contain it; the
-        supergroups of K are the AND of those bitsets over K's members,
-        read off as a bit string from k on (no supergroup sorts before K).
+        It is ``_above`` transposed.
         """
-        subs, holds = self.subgroups, [0] * self.group.order
-        for k, s in enumerate(subs):
-            for x in s.members:
-                holds[x] |= 1 << k
-        below = [[] for _ in subs]
-        for k, s in enumerate(subs):
-            sup = functools.reduce(int.__and__, map(holds.__getitem__, s.members))
-            bits = bin(sup)[:1:-1]
-            h = bits.find("1", k)
-            while h >= 0:
+        below = [[] for _ in self.subgroups]
+        for k in range(len(below)):
+            for h in self._above(k):
                 below[h].append(k)
-                h = bits.find("1", h + 1)
         return tuple(map(tuple, below))
 
     @functools.cached_property
@@ -430,17 +447,14 @@ class SubgroupLattice:
         |(G/H)^K| = |N_G(H):H| * #{H' in cl(H) : K <= H'}, since
         |N_G(H):H| = |G| / (|H| |cl(H)|).  Classes are sorted by order, so
         the table is lower triangular with |N_G(H_i):H_i| on the diagonal.
-        Subgroups are sorted by order too, so a column rep K at subgroup
-        index r is contained only in subgroups from r on; those are walked
-        once and counted per class.
+        The supergroups of each column rep, ``_above`` its index, are
+        counted per class.
         """
-        masks, n = [s.mask for s in self.subgroups], self.class_count
         cols = []
         for c in self.classes:
-            k, count = masks[c.rep_index], [0] * n
-            for m, ci in zip(masks[c.rep_index:], self.class_of[c.rep_index:]):
-                if m & k == k:
-                    count[ci] += 1
+            count = [0] * self.class_count
+            for h in self._above(c.rep_index):
+                count[self.class_of[h]] += 1
             cols.append(count)
         rows = []
         for i, c in enumerate(self.classes):
@@ -623,28 +637,20 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
                    for m in orbit_of), key=lambda s: (len(s), s))
     subgroups = tuple(Subgroup(g, s) for s in subs)
 
-    buckets = {}
+    # in (order, members) order a class's least member, its representative,
+    # is met first, so numbering classes as met sorts them by that key too
+    number, classes, class_of, rank = {}, [], [], {}
     for i, s in enumerate(subgroups):
-        buckets.setdefault(orbit_of[s.mask], []).append(i)
-    raw_classes = sorted(
-        buckets.values(),
-        key=lambda idxs: (subgroups[idxs[0]].order, subgroups[min(idxs)].members),
-    )
-    classes = []
-    rank_within_order = {}
-    class_of = [0] * len(subgroups)
-    for idxs in raw_classes:
-        rep = min(idxs)
-        order = subgroups[rep].order
-        rank = rank_within_order.get(order, 0) + 1
-        rank_within_order[order] = rank
-        label = f"{order}#{rank}"
-        ci = len(classes)
-        classes.append(SubgroupClass(label, rep, tuple(sorted(idxs))))
-        for i in idxs:
-            class_of[i] = ci
+        ci = number.setdefault(orbit_of[s.mask], len(number))
+        if ci == len(classes):
+            rank[s.order] = rank.get(s.order, 0) + 1
+            classes.append((f"{s.order}#{rank[s.order]}", i, []))
+        classes[ci][2].append(i)
+        class_of.append(ci)
 
-    lat = SubgroupLattice(g, subgroups, tuple(classes), tuple(class_of))
+    lat = SubgroupLattice(g, subgroups, tuple(
+        SubgroupClass(label, rep, tuple(idxs)) for label, rep, idxs in classes),
+        tuple(class_of))
     with _LOCK:
         lat = _LATTICE_CACHE.setdefault(g, lat)
         _LATTICE_CACHE.move_to_end(g)
@@ -668,11 +674,8 @@ def _is_prime_power(k: int) -> bool:
 
 def moebius(lat: SubgroupLattice, k: Subgroup, h: Subgroup) -> int:
     """Moebius function of the subgroup poset at K <= H."""
-    if not k.leq(h):
-        raise NotContainedError("moebius(K,H) requires K <= H")
-    ki = lat.subgroup_index(k.members)
-    hi = lat.subgroup_index(h.members)
-    return lat.moebius_by_index(ki, hi)
+    return lat.moebius_by_index(lat.subgroup_index(k.members),
+                                lat.subgroup_index(h.members))
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,16 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, ring, cols, rows):
-        """The matrix of {column: value} rows, values normalised into the ring."""
-        return cls(ring, cols, tuple(
-            tuple((j, y) for j, x in sorted(row.items()) if (y := ring.from_int(x)))
-            for row in rows))
+        """The matrix of {column: value} rows, values normalised into the
+        ring; a column outside 0..cols-1 raises DimensionMismatchError."""
+        sparse = []
+        for row in rows:
+            items = sorted(row.items())
+            if items and (items[0][0] < 0 or items[-1][0] >= cols):
+                j = items[0][0] if items[0][0] < 0 else items[-1][0]
+                raise DimensionMismatchError(f"column {j} outside 0..{cols - 1}")
+            sparse.append(tuple((j, y) for j, x in items if (y := ring.from_int(x))))
+        return cls(ring, cols, tuple(sparse))
 
     @classmethod
     def from_rows(cls, ring, rows):

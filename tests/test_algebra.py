@@ -25,6 +25,7 @@ from burnside.bisets import gamma
 from burnside.errors import (
     BadLabelError,
     GroupMismatchError,
+    NotContainedError,
     NotInvertibleError,
     RingMismatchError,
 )
@@ -127,6 +128,17 @@ def test_non_integral_coefficient_is_refused_not_truncated(ring):
     # an integral Fraction is the integer it equals
     two = BurnsideElement(s3, ring, {0: Fraction(4, 2)})
     assert multiply(two, one) == BurnsideElement.basis(s3, ring, 0).scale(2)
+
+
+@pytest.mark.parametrize("ci", [-1, 4, 99])
+def test_element_class_index_must_name_a_class(ci):
+    # S3 has 4 classes, so 4 and 99 name none, and -1 must not count from the end
+    s3 = build_group("S3")
+    assert subgroup_lattice(s3).class_count == 4
+    for coeffs in ({ci: 1}, {0: 1, ci: 2}):
+        with pytest.raises(NotContainedError, match=f"^no subgroup class {ci} in S3$"):
+            BurnsideElement(s3, ZZ, coeffs)
+    assert BurnsideElement(s3, ZZ, {3: 1}) == identity_element(s3, ZZ)
 
 
 def test_lower_honours_the_denominator():

@@ -189,11 +189,21 @@ def test_rational_json_bytes(capsys, argv, digest):
      "aa1d9cf9df71b86327aa37c3a65eacad7b992bcd6ce1d78e736590155b3da39f"),
     (("mackey-check", "D12"),
      "9e3afaa1f84a90078440de6608561bb5b183734892f710617b02a9f75b081b2b"),
+    (("subgroups", "prod(D12,D12)"),
+     "c5d4d998ae1c4ecdbac5de4b1ad7fe91459bc410b64d63d3b25b12f5bd348179"),
+    (("tom", "prod(D12,D12)"),
+     "2f8b1c8c4c24121fd4f9e293deadc602ce9f8b46a411d4509d3fdb97a23e7b29"),
+    (("tom", "S5"),
+     "b566b4b5da2c063a82408921dd50d09a0b288fcdfc03ac2a0cb7f3d1d8d13edf"),
+    (("idempotents", "prod(D8,D8)", "--ring", "Q"),
+     "099c1905cc9788872d699751aba1097b920d0c01579a8a48ce98f9f63a54a323"),
 ])
 def test_lattice_json_bytes(capsys, argv, digest):
-    # pinned from the cyclic extension that joined every zuppo outside H,
-    # conjugates under H included; commutant D12 --ring Q, whose lattice is
-    # that of prod(D12,D12), is pinned in test_rational_json_bytes
+    # the first three pinned from the cyclic extension that joined every
+    # zuppo outside H, conjugates under H included, the last four from the
+    # classes sorted by (order, least member) before they were numbered as
+    # first met; commutant D12 --ring Q, whose lattice is that of
+    # prod(D12,D12), is pinned in test_rational_json_bytes
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

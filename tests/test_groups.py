@@ -234,7 +234,8 @@ def test_moebius_klein_four():
     assert moebius(lat, trivial_subgroup(g), Subgroup(g, range(4))) == 2
 
 
-@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "prod(C2,C2)"])
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "prod(C2,C2)", "S4", "D16",
+                                  "prod(S3,S3)", A5, "prod(D8,C2)"])
 def test_moebius_against_zeta_inverse(spec):
     g = build_group(spec)
     lat = subgroup_lattice(g)
@@ -269,6 +270,17 @@ def test_moebius_requires_containment():
     b = lat.class_rep(2)  # the order-3 subgroup
     with pytest.raises(NotContainedError):
         moebius(lat, a, b)
+
+
+@pytest.mark.parametrize("members,bad", [([-1, 0], "-1"), ([0, 6], "6"),
+                                         ([0, 1.5], "1.5"), ([0, 1.0], "1.0")])
+def test_subgroup_member_must_be_an_element(members, bad):
+    # checked before the mask is built; 1.5 is refused, not truncated to 1
+    # ({0, 1} is a subgroup of S3)
+    s3 = build_group("S3")
+    assert Subgroup(s3, [0, 1]).order == 2
+    with pytest.raises(NotContainedError, match=f"^element {bad} outside parent"):
+        Subgroup(s3, members)
 
 
 def test_normalizer_and_centralizers_s3():
@@ -507,7 +519,8 @@ def test_lattice_layout_is_pinned(spec, digest):
 
 
 @pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", C2_5, "prod(S4,C2)",
-                                  A5, "prod(D8,S3)", "prod(C3,S4)", "prod(D8,D8)"])
+                                  A5, "prod(D8,S3)", "prod(C3,S4)", "prod(D8,D8)",
+                                  "S5", "prod(D12,D12)"])
 def test_marks_match_class_mask_oracle(spec):
     # the lattice-ladder groups: the supergroup walk against the formula it
     # replaced, which tests every class member against every column rep

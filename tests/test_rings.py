@@ -134,6 +134,17 @@ def test_matrix_is_sparse_rows(ring, a):
     assert (empty.rows, empty.cols) == (0, 0)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)], ids=lambda r: r.spec)
+def test_from_sparse_column_must_be_in_range(ring):
+    # refused here, before solve_linear would index a column that is not
+    # there; a zero entry's column is checked too
+    for row, bad in (({5: 1}, 5), ({0: 1, 2: 0}, 2), ({-1: 1, 1: 1}, -1)):
+        with pytest.raises(DimensionMismatchError, match=f"^column {bad} outside 0"):
+            Matrix.from_sparse(ring, 2, [{0: 1}, row])
+    assert Matrix.from_sparse(ring, 2, [{1: 1, 0: 0}]).sparse == (
+        ((1, ring.from_int(1)),),)
+
+
 def test_matrix_drops_entries_that_vanish_mod_m():
     matrix = Matrix.from_rows(Zmod(6), [[6, 1, -12], [1, 2, 3], [7, -4, 9]])
     assert matrix.sparse[0] == ((1, 1),)
