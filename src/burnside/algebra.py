@@ -292,13 +292,13 @@ def idempotent(g: Group, label: str, ring) -> BurnsideElement:
     leave the integers through one ``lower`` by |N_G(H)|.
     """
     lat = _unit_order_lattice(g, ring)
-    return _idempotent(lat, lat.classes[lat.class_index_of_label(label)], ring)
+    return _idempotent(g, lat, lat.classes[lat.class_index_of_label(label)], ring)
 
 
 def idempotent_system(g: Group, ring):
     """All primitive idempotents, in class order."""
     lat = _unit_order_lattice(g, ring)
-    return [_idempotent(lat, cls, ring) for cls in lat.classes]
+    return [_idempotent(g, lat, cls, ring) for cls in lat.classes]
 
 
 def _unit_order_lattice(g: Group, ring):
@@ -308,15 +308,20 @@ def _unit_order_lattice(g: Group, ring):
     return subgroup_lattice(g)
 
 
-def _idempotent(lat, cls, ring) -> BurnsideElement:
-    """e_H for the class cls, with no check on |G|."""
+def _idempotent(g: Group, lat, cls, ring) -> BurnsideElement:
+    """e_H for the class cls of g's lattice lat, with no check on |G|.
+
+    The element is built over g, not over ``lat.group``: the lattice
+    cache is keyed by structural equality, so that may be another group
+    object with the same table but a different label and factors.
+    """
     h, num = cls.rep_index, [0] * lat.class_count
     for k in lat.below[h]:
         num[lat.class_of[k]] += lat.subgroups[k].order * lat.moebius_by_index(k, h)
     cis = [i for i, v in enumerate(num) if v]
     # |N_G(H)| = |G| / |cl(H)|
-    return BurnsideElement(lat.group, ring, dict(zip(cis, lower(
-        ring, [num[i] for i in cis], lat.group.order // len(cls.member_indices)))))
+    return BurnsideElement(g, ring, dict(zip(cis, lower(
+        ring, [num[i] for i in cis], g.order // len(cls.member_indices)))))
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,8 @@ class SubgroupLattice:
             raise NotContainedError("not a subgroup of this lattice")
 
     def class_index_of_subgroup(self, sub: Subgroup) -> int:
+        if sub.parent != self.group:
+            raise NotContainedError("subgroup of a different group")
         return self.class_of[self.subgroup_index(sub.members)]
 
     def class_label_of_subgroup(self, sub: Subgroup) -> str:
@@ -674,6 +676,8 @@ def _is_prime_power(k: int) -> bool:
 
 def moebius(lat: SubgroupLattice, k: Subgroup, h: Subgroup) -> int:
     """Moebius function of the subgroup poset at K <= H."""
+    if k.parent != lat.group or h.parent != lat.group:
+        raise NotContainedError("subgroup of a different group")
     return lat.moebius_by_index(lat.subgroup_index(k.members),
                                 lat.subgroup_index(h.members))
 

@@ -3,7 +3,10 @@
 A GSet stores the action as a dense table action[g][p].  Construction
 verifies that the identity fixes every point and that the action is
 compatible with multiplication; the compatibility check runs over a
-generating set of the group, which propagates to all elements.
+generating set of the group, which propagates to all elements.  The
+sets built here as actions by construction (``transitive``, ``product``,
+``disjoint_union``, ``induce``, ``restrict`` and ``rehomed``) skip that
+check.
 
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
@@ -84,7 +87,7 @@ def transitive(g: Group, h: Subgroup) -> GSet:
         for m in h.members:
             point_of[g.mul_table[x][m]] = p
     action = [[point_of[g.mul_table[a][r]] for r in reps] for a in g.elements()]
-    return GSet(g, action)
+    return GSet(g, action, validate=False)
 
 
 def regular(g: Group) -> GSet:
@@ -207,7 +210,7 @@ def induce(x: GSet, h: Subgroup, k: Group) -> GSet:
         k.order, nx, glue, [(row, range(nx)) for row in k.mul_table])
     if len(reps) != (k.order // h.order) * nx:
         raise NotAGroupError("induction produced an unexpected point count")
-    return GSet(k, action)
+    return GSet(k, action, validate=False)
 
 
 def induce_along(x: GSet, images, k: Group) -> GSet:

@@ -12,8 +12,10 @@ Three decision procedures, each with a constructive certificate:
   agree with the one ``invert`` reads off the inverted marks.
 * ``derivation_space``: the module of derivations of the Burnside algebra
   (equal to first Hochschild cohomology, since inner derivations vanish
-  for a commutative algebra acting on itself), solved as the kernel of
-  the Leibniz constraints.
+  for a commutative algebra acting on itself).  Over Z, Q and Z/m with m
+  prime to |G| it is 0, decided by the checked Casimir element of the
+  positive ``ring_separability`` verdict; over Z/m sharing a prime with
+  |G| it is solved as the kernel of the Leibniz constraints.
 
 Every product here is read from ``algebra``: ``multiply``, and
 ``mult_matrix`` of an element or of each basis class.  The tensor code
@@ -532,7 +534,8 @@ class DerivationSpace:
     """Spanning set of the derivations d: RB(G) -> RB(G).
 
     Each entry is a class x class matrix: row H holds the coefficients of
-    d([G/H]).  Over Q the list is a basis; over Z and Z/m it spans.
+    d([G/H]).  Over Z and Q, and over Z/m with m prime to |G|, the list
+    is empty; over the other Z/m it spans.
     Inner derivations vanish (commutative algebra, symmetric bimodule),
     so this module is the first Hochschild cohomology itself.
     """
@@ -580,20 +583,25 @@ def leibniz_system(g: Group, ring):
 
 
 def derivation_space(g: Group, ring) -> DerivationSpace:
-    """All derivations of the Burnside algebra over the ring."""
-    lat = subgroup_lattice(g)
-    n = lat.class_count
-    # an integer derivation is a rational one, and QB(G) is a product of
-    # fields, which has none but 0; so over Z the rational solve decides
-    matrix = leibniz_system(g, QQ if ring == ZZ else ring)
+    """All derivations of the Burnside algebra over the ring.
+
+    When |G| is a unit the algebra is separable, and a separable
+    commutative algebra has no derivation but 0 (DeMeyer and Ingraham,
+    1971); an integer derivation is a rational one.  So over Z, Q and
+    Z/m with m prime to |G| the checked Casimir element of
+    ``ring_separability`` (over Q for Z) decides, and the Leibniz system
+    is eliminated only mod m sharing a prime with |G|.
+    """
+    base = QQ if ring == ZZ else ring
+    if base.is_unit(base.from_int(g.order)):
+        ring_separability(g, base)  # raises unless verify_casimir holds
+        return DerivationSpace(g, ring, [])
+    n = subgroup_lattice(g).class_count
+    matrix = leibniz_system(g, ring)
     res = solve_linear(matrix, [0] * matrix.rows)
     if not isinstance(res, Solution):
         raise InternalInconsistencyError("homogeneous system reported unsolvable")
-    if ring == ZZ and res.kernel:
-        raise InternalInconsistencyError(
-            "Leibniz system has a rational kernel, but QB(G) is a product of fields")
-    # no kernel vector is zero: over Q each has a 1 in its free column, and
-    # over Z/m zeros are dropped
+    # no kernel vector is zero: over Z/m zeros are dropped
     basis = [tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
              for vec in res.kernel]
     return DerivationSpace(g, ring, basis)

@@ -349,6 +349,28 @@ def test_idempotents_read_the_containment_index_not_leq(monkeypatch):
         assert total == identity_element(g, ring)
 
 
+def test_idempotents_live_over_the_callers_group(monkeypatch):
+    # the lattice cache is keyed by structural equality, so an equal group
+    # built first (here a permutation group with the table of C2 x C2)
+    # owns the cached lattice; the idempotents must still be built over g
+    from collections import OrderedDict
+
+    from burnside import groups
+    from burnside.bisets import diagonal_restrict
+
+    monkeypatch.setattr(groups, "_LATTICE_CACHE", OrderedDict())
+    perm = build_group("perm:(1 2);(3 4)")
+    g = build_group("prod(C2,C2)")
+    assert perm == g and perm.label != g.label
+    assert subgroup_lattice(perm).group is perm
+    es = idempotent_system(g, QQ) + [idempotent(g, "4#1", QQ)]
+    for e in es:
+        assert e.group is g and e.group.label == "prod(C2,C2)"
+        assert len(e.group.factors) == 2
+        assert diagonal_restrict(e) == diagonal_restrict(
+            BurnsideElement(g, QQ, e.coeffs))
+
+
 def test_idempotent_needs_unit_order():
     with pytest.raises(NotInvertibleError):
         idempotent(build_group("C2"), "1#1", ZZ)

@@ -272,6 +272,30 @@ def test_idempotent_and_inverse_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("derivations", "S4", "--ring", "Z"),
+     "d43ba6a9c6867238318739642c0813da56bc22a8341ab0ca06ca1ee6aeb92cba"),
+    (("derivations", "prod(C2,D8)", "--ring", "Z"),
+     "5ff36f13d532bc92ad560bc1cd98d298661de36ede3537ffc33abaf9d11f0c4f"),
+    (("derivations", "prod(S3,S3)", "--ring", "Q"),
+     "77870ffaea69bd959e455138139dd99e2a80fec98161bc8af4c631b9642978fe"),
+    (("derivations", "S4", "--ring", "Z/5"),
+     "f99266769d8c16b1843d44e5ffa8f8efd26b482ed95815a5b8648df158e29f45"),
+    (("derivations", "prod(C2,prod(C2,C2))", "--ring", "Z/3"),
+     "c0d8ca653c49c0012fa4e1cfedb010157bdc719b77baa31d06c37ea5d0467e05"),
+    (("derivations", "C1", "--ring", "Z/2"),
+     "4b083c7bfde8d9ddb1287efa35f9edbea2b51dd4febcb71288afadd6d2759501"),
+    (("derivations", "D10", "--ring", "Z/3"),
+     "4d8ad4143f47a85d25bb364626a540e06e83c7ec19dad1e707aefebce5cea3d6"),
+])
+def test_zero_derivations_json_bytes(capsys, argv, digest):
+    # pinned from the Leibniz system eliminated over Q (for Z and Q) and
+    # mod m, before a unit |G| was decided by the Casimir element alone
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derivations_json(capsys):
     code, out, _ = run_cli(capsys, "derivations", "C2", "--ring", "Z/2",
                            "--json")

@@ -272,6 +272,25 @@ def test_moebius_requires_containment():
         moebius(lat, a, b)
 
 
+def test_lattice_lookups_refuse_a_subgroup_of_another_group():
+    lat = subgroup_lattice(build_group("S3"))
+    c2 = build_group("C2")
+    whole = Subgroup(c2, range(2))
+    with pytest.raises(NotContainedError, match="different group"):
+        moebius(lat, trivial_subgroup(c2), whole)
+    with pytest.raises(NotContainedError, match="different group"):
+        moebius(lat, lat.class_rep(0), whole)
+    with pytest.raises(NotContainedError, match="different group"):
+        lat.class_index_of_subgroup(whole)
+    with pytest.raises(NotContainedError, match="different group"):
+        lat.class_label_of_subgroup(whole)
+    # a structurally equal group object is the same group
+    s3 = build_group("S3")
+    top = Subgroup(s3, range(6))
+    assert moebius(lat, trivial_subgroup(s3), top) == 3
+    assert lat.class_label_of_subgroup(top) == lat.classes[-1].label
+
+
 @pytest.mark.parametrize("members,bad", [([-1, 0], "-1"), ([0, 6], "6"),
                                          ([0, 1.5], "1.5"), ([0, 1.0], "1.0")])
 def test_subgroup_member_must_be_an_element(members, bad):

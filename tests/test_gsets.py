@@ -70,6 +70,30 @@ def test_action_table_validation():
         GSet(c2, [[1, 0], [0, 1]])  # identity must fix every point
 
 
+def test_built_actions_skip_validation_and_would_pass_it(monkeypatch):
+    from burnside.groups import diagonal_subgroup, squared
+
+    checked = []
+    monkeypatch.setattr(GSet, "_validate", lambda self: checked.append(self))
+    built = []
+    for spec in ("S4", "D12", "Q8", "prod(C2,C3)"):
+        g = build_group(spec)
+        lat = subgroup_lattice(g)
+        built += [transitive(g, lat.class_rep(ci)) for ci in range(lat.class_count)]
+    # induced onto D12 x D12 along the diagonal, as diagonal_induce does
+    g = build_group("D12")
+    gg = squared(g)
+    delta = diagonal_subgroup(g, gg)
+    dg = delta.as_group()
+    lat = subgroup_lattice(g)
+    for ci in range(lat.class_count):
+        built.append(induce(transitive(g, lat.class_rep(ci)).rehomed(dg), delta, gg))
+    assert not checked
+    monkeypatch.undo()
+    for x in built:
+        GSet(x.group, x.action, validate=True)
+
+
 def test_fixed_points():
     s3 = build_group("S3")
     lat = subgroup_lattice(s3)

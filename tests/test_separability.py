@@ -15,7 +15,12 @@ from burnside.algebra import (
     invert,
     multiply,
 )
-from burnside.errors import NotInvertibleError, ResourceBoundError, RingMismatchError
+from burnside.errors import (
+    InternalInconsistencyError,
+    NotInvertibleError,
+    ResourceBoundError,
+    RingMismatchError,
+)
 from burnside.groups import (
     Subgroup,
     build_group,
@@ -422,6 +427,42 @@ def test_integer_derivations_come_from_the_rational_solve(spec, monkeypatch):
     monkeypatch.setattr(burnside.rings, "_snf_int", refuse)
     d = derivation_space(build_group(spec), ZZ)
     assert d.is_zero() and d.ring == ZZ
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D16", "prod(S3,S3)"])
+def test_unit_order_derivations_solve_no_system(spec, monkeypatch):
+    # a separable commutative algebra has no derivation but 0, and over Z
+    # every derivation is a rational one: the Casimir check decides
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivations with |G| a unit reached the solver")
+
+    monkeypatch.setattr(burnside.separability, "leibniz_system", refuse)
+    monkeypatch.setattr(burnside.separability, "solve_linear", refuse)
+    g = build_group(spec)
+    for ring in (ZZ, QQ, Zmod(5), Zmod(7), Zmod(35)):
+        d = derivation_space(g, ring)
+        assert d.is_zero() and d.ring == ring and d.group is g
+
+
+def test_unit_order_derivations_keep_the_casimir_check(monkeypatch):
+    monkeypatch.setattr(burnside.separability, "verify_casimir",
+                        lambda u: False)
+    for ring in (ZZ, QQ, Zmod(5)):
+        with pytest.raises(InternalInconsistencyError, match="Casimir"):
+            derivation_space(build_group("S3"), ring)
+
+
+@pytest.mark.parametrize("spec", ["S3", "C4", "D8", "Q8", "prod(C2,C2)"])
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7), Zmod(35)],
+                         ids=lambda r: r.spec)
+def test_leibniz_kernel_is_empty_when_the_order_is_a_unit(spec, ring):
+    # the elimination the Casimir check replaced, kept as the oracle
+    g = build_group(spec)
+    assert ring.is_unit(ring.from_int(g.order))
+    matrix = leibniz_system(g, ring)
+    res = solve_linear(matrix, [ring.zero] * matrix.rows)
+    assert isinstance(res, Solution) and res.kernel == []
+    assert derivation_space(g, ring).is_zero()
 
 
 def test_derivation_space_modular_nonzero():
