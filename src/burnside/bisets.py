@@ -4,7 +4,9 @@ An (H, G)-biset is carried as a set with an action of the product group
 H x G, the right action being encoded through inverses:
 (h, g).x = h x g^-1.  Composition and the diagonal products are then
 plain orbit/quotient computations on carriers, which keeps every
-identity checkable against explicit decompositions.
+identity checkable against explicit decompositions.  The conjugation
+class and diagonal induction have their orbits in closed form, so they
+are read off the subgroup lattice instead, and no G-set is built.
 
 Product groups carry an ordered factor list; the diagonal operations
 take explicit factor indices and an explicit output layout, because the
@@ -14,6 +16,7 @@ sits in the output product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,11 +36,12 @@ from .groups import (
     balanced_product,
     diagonal_subgroup,
     direct_product,
+    element_classes,
     is_homomorphism,
     squared,
     subgroup_lattice,
 )
-from .gsets import GSet, conjugation_gset, induce, restrict
+from .gsets import GSet, restrict
 from .rings import ZZ
 
 _TRIVIAL = _cyclic(1)
@@ -148,6 +152,19 @@ def _extend(a: BurnsideElement, target: Group, image) -> BurnsideElement:
         x = image(transitive_of_class(a.group, ci))
         out = out.add(BurnsideElement.from_gset(x, a.ring).scale(coeff))
     return out
+
+
+def _image_classes(g: Group, target: Group, image, cis) -> list:
+    """The class in target's lattice of the image of each class ci of g in
+    cis, along the injective homomorphism x -> image(x).
+
+    The member tuple of each class representative is mapped into target
+    and the image subgroup looked up there.  Inducing [G/H] along the map
+    gives [T/image(H)] (Bouc, Biset Functors for Finite Groups, 2010).
+    """
+    lat, lat_t = subgroup_lattice(g), subgroup_lattice(target)
+    return [lat_t.class_of[lat_t.subgroup_index(map(image, lat.class_rep(ci).members))]
+            for ci in cis]
 
 
 def apply_biset(u: Biset, a: BurnsideElement) -> BurnsideElement:
@@ -295,23 +312,17 @@ def permute_factors_gset(x: GSet, perm) -> GSet:
 
 
 def permute_factors_element(a: BurnsideElement, perm) -> BurnsideElement:
-    """Transport an element along a factor permutation of its group."""
+    """Transport an element along a factor permutation of its group.
+
+    The permutation is an isomorphism, so distinct classes go to
+    distinct classes.
+    """
     p, mapping = permutation_of_factors(a.group, perm)
     inverse = [0] * len(mapping)
     for w, old in enumerate(mapping):
         inverse[old] = w
-    lat_old = subgroup_lattice(a.group)
-    lat_new = subgroup_lattice(p)
-    coeffs = {}
-    for ci, c in a.coeffs.items():
-        rep = lat_old.class_rep(ci)
-        members = [inverse[m] for m in rep.members]
-        target = lat_new.class_of[lat_new.subgroup_index(members)]
-        if target in coeffs:
-            coeffs[target] = a.ring.add(coeffs[target], c)
-        else:
-            coeffs[target] = c
-    return BurnsideElement(p, a.ring, coeffs)
+    cls = _image_classes(a.group, p, inverse.__getitem__, a.coeffs)
+    return BurnsideElement(p, a.ring, dict(zip(cls, a.coeffs.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +332,15 @@ def permute_factors_element(a: BurnsideElement, perm) -> BurnsideElement:
 def gamma(g: Group, ring=ZZ) -> BurnsideElement:
     """The class of g acting on itself by conjugation.
 
-    Its decomposition is one orbit [G/C_G(x)] per conjugacy class of
-    elements, and its marks are the centralizer orders.
+    The orbit of x is its conjugacy class, with stabilizer C_G(x), so the
+    class is the sum of [G/C_G(x)] over the element classes, each found
+    in the lattice; no G-set is built.  Its marks are the centralizer
+    orders.  The element is built over g, not over ``lat.group``, which
+    the structurally keyed lattice cache may make another equal group.
     """
-    return BurnsideElement.from_gset(conjugation_gset(g), ring)
+    lat = subgroup_lattice(g)
+    counts = Counter(lat.class_index_of_subgroup(cz) for _, _, cz in element_classes(g))
+    return BurnsideElement(g, ring, {ci: ring.from_int(c) for ci, c in counts.items()})
 
 
 def _diagonal_of(gg: Group) -> tuple[Group, Subgroup]:
@@ -336,12 +352,16 @@ def _diagonal_of(gg: Group) -> tuple[Group, Subgroup]:
 
 
 def diagonal_induce(a: BurnsideElement, gg: Group | None = None) -> BurnsideElement:
-    """Induce along the diagonal G = Delta(G) <= G x G; [G/L] -> [GG/Delta(L)]."""
+    """Induce along the diagonal G = Delta(G) <= G x G; [G/L] -> [GG/Delta(L)].
+
+    Delta(L) and Delta(L') are conjugate in G x G only if L and L' are
+    conjugate in G, so distinct classes go to distinct classes.
+    """
     g = a.group
     gg = gg if gg is not None else squared(g)
-    delta = diagonal_subgroup(g, gg)
-    dg = delta.as_group()
-    return _extend(a, gg, lambda x: induce(x.rehomed(dg), delta, gg))
+    n = g.order
+    cls = _image_classes(g, gg, lambda x: x * n + x, a.coeffs)
+    return BurnsideElement(gg, a.ring, dict(zip(cls, a.coeffs.values())))
 
 
 def diagonal_restrict(a: BurnsideElement) -> BurnsideElement:

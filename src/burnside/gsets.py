@@ -10,10 +10,12 @@ check.
 
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
-downstream.  Bisets, Mackey and the commutant need these concrete sets;
-the algebra multiplies through the table of marks instead, and
-``product``, ``fixed_points`` and ``decompose`` are the reference route
-the tests check it against.
+downstream.  Biset composition, the diagonal merge and Mackey's diagonal
+restriction need these concrete sets.  The algebra multiplies through
+the table of marks instead, and the conjugation class, diagonal
+induction and the commutant are read off the subgroup lattice;
+``product``, ``fixed_points``, ``decompose``, ``conjugation_gset`` and
+``induce`` are the reference routes the tests check them against.
 """
 
 from __future__ import annotations

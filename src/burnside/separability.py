@@ -59,10 +59,11 @@ from .algebra import (
     multiply,
     unghost,
 )
-from .bisets import gamma
+from .bisets import _image_classes, gamma
 from .errors import (
     GroupMismatchError,
     InternalInconsistencyError,
+    ResourceBoundError,
     RingMismatchError,
 )
 from .groups import (
@@ -73,6 +74,10 @@ from .groups import (
     subgroup_lattice,
 )
 from .rings import QQ, ZZ, Matrix, Solution, solve_linear
+
+# the most rows a Casimir or Leibniz system is built with; the Casimir
+# system of (C2)^4, 67 classes, has 300,830
+_MAX_SYSTEM_ROWS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,14 @@ def _basis_mult_matrices(g: Group):
     return [[{j: c for j, c in enumerate(row) if c}
              for row in mult_matrix(BurnsideElement.basis(g, ZZ, a))]
             for a in range(n)]
+
+
+def _check_rows(g: Group, what: str, rows: int):
+    """Refuse, before it is built, a system with more than _MAX_SYSTEM_ROWS rows."""
+    if rows > _MAX_SYSTEM_ROWS:
+        raise ResourceBoundError(
+            f"the {what} system of {g.label} would have {rows} rows; "
+            f"systems are capped at {_MAX_SYSTEM_ROWS}")
 
 
 def _compat(x: BurnsideElement, u: TensorElement):
@@ -251,9 +264,12 @@ def casimir_linear_system(g: Group, ring):
     """Constraint matrix for Casimir elements: centrality rows, then mu rows.
 
     Unknowns are the n*n tensor coefficients u[k][j], vectorised row-major.
+    The n^3 + n rows are counted first, and ResourceBoundError raised
+    above _MAX_SYSTEM_ROWS.
     """
     lat = subgroup_lattice(g)
     n = lat.class_count
+    _check_rows(g, "Casimir", n ** 3 + n)
     ls = _basis_mult_matrices(g)
     rows = []
     rhs = []
@@ -508,12 +524,8 @@ def _commutant_from_clusters(g: Group, gg: Group, ring, cls_of) -> CommutantResu
                  for vec in res.kernel]
 
     # the diagonal classes Delta(L) for L over the base lattice
-    lat_g = subgroup_lattice(g)
-    diag_classes = []
-    for cj in range(lat_g.class_count):
-        rep = lat_g.class_rep(cj)
-        members = [x * g.order + x for x in rep.members]
-        diag_classes.append(lat_gg.class_of[lat_gg.subgroup_index(members)])
+    diag_classes = _image_classes(g, gg, lambda x: x * g.order + x,
+                                  range(subgroup_lattice(g).class_count))
     diag_set = set(diag_classes)
 
     supported = all(set(sol.coeffs) <= diag_set for sol in solutions)
@@ -563,9 +575,12 @@ def leibniz_system(g: Group, ring):
     """Homogeneous constraints d(x_i x_j) = d(x_i) x_j + x_i d(x_j).
 
     Unknowns are the n*n matrix entries d[h][b], vectorised row-major.
+    The n^2 (n + 1) / 2 rows are counted first, and ResourceBoundError
+    raised above _MAX_SYSTEM_ROWS.
     """
     lat = subgroup_lattice(g)
     n = lat.class_count
+    _check_rows(g, "Leibniz", n * n * (n + 1) // 2)
     ls = _basis_mult_matrices(g)
     rows = []
     for i in range(n):

@@ -41,14 +41,23 @@ from burnside.groups import (
     MAX_GROUP_ORDER,
     Subgroup,
     build_group,
+    diagonal_subgroup,
     direct_product,
     element_classes,
     squared,
     subgroup_lattice,
     trivial_subgroup,
 )
-from burnside.gsets import decompose, fixed_points, iso_equal, restrict, transitive
-from burnside.rings import ZZ
+from burnside.gsets import (
+    conjugation_gset,
+    decompose,
+    fixed_points,
+    induce,
+    iso_equal,
+    restrict,
+    transitive,
+)
+from burnside.rings import QQ, ZZ, Zmod
 
 
 def test_elementary_sizes():
@@ -500,3 +509,65 @@ def test_permute_factors_element_roundtrip():
                             trivial_subgroup(p)) == \
             fixed_points(transitive_of_class(b.group, next(iter(b.coeffs))),
                          trivial_subgroup(b.group))
+
+
+# Oracles for the lattice readings: gamma, diagonal induction and the
+# factor permutation against the concrete sets they stand for
+
+A5 = "perm:(1 2 3 4 5);(1 2 3)"
+
+
+@pytest.mark.parametrize("spec", ["C1", "Q8", "S3", "D12", A5, "S4", "S5",
+                                  "prod(S3,S3)", "prod(C2,prod(C2,prod(C2,C2)))"])
+def test_gamma_matches_conjugation_gset(spec):
+    g = build_group(spec)
+    x = conjugation_gset(g)
+    for ring in (ZZ, QQ, Zmod(6)):
+        gam = gamma(g, ring)
+        assert gam == BurnsideElement.from_gset(x, ring)
+        assert gam.group is g
+
+
+@pytest.mark.parametrize("spec", [f"C{n}" for n in range(1, 16)]
+                         + ["Q8", "D12", "prod(C2,prod(C2,C2))"])
+def test_diagonal_induce_matches_concrete_induction(spec):
+    g = build_group(spec)
+    gg = squared(g)
+    delta = diagonal_subgroup(g, gg)
+    dg = delta.as_group()
+    lat = subgroup_lattice(g)
+    total, expect = BurnsideElement.zero(g, ZZ), BurnsideElement.zero(gg, ZZ)
+    for ci in range(lat.class_count):
+        a = BurnsideElement.basis(g, ZZ, ci).scale(3)
+        x = induce(transitive_of_class(g, ci).rehomed(dg), delta, gg)
+        assert diagonal_induce(a, gg) == BurnsideElement.from_gset(x, ZZ).scale(3)
+        # and linearly, with a different coefficient on each class
+        total = total.add(BurnsideElement.basis(g, ZZ, ci).scale(ci + 1))
+        expect = expect.add(BurnsideElement.from_gset(x, ZZ).scale(ci + 1))
+    assert diagonal_induce(total, gg) == expect
+
+
+@pytest.mark.parametrize("spec,perm", [
+    ("prod(C2,C3)", (1, 0)),
+    ("prod(S3,C2)", (1, 0)),
+    ("prod(C2,prod(C2,C4))", (2, 0, 1)),
+    ("prod(S3,prod(C2,C3))", (1, 2, 0)),
+    ("prod(D8,prod(C2,C2))", (0, 2, 1)),
+])
+def test_permute_factors_element_matches_gset(spec, perm):
+    g = build_group(spec)
+    n = subgroup_lattice(g).class_count
+    for ring in (ZZ, Zmod(6)):
+        xs = [BurnsideElement.from_gset(
+            permute_factors_gset(transitive_of_class(g, ci), perm), ring)
+            for ci in range(n)]
+        five = ring.from_int(5)
+        for ci, x in enumerate(xs):
+            a = BurnsideElement.basis(g, ring, ci).scale(five)
+            assert permute_factors_element(a, perm) == x.scale(five)
+        # and linearly, with a different coefficient on each class
+        total = BurnsideElement(g, ring, {ci: ring.from_int(ci + 1) for ci in range(n)})
+        expect = BurnsideElement.zero(xs[0].group, ring)
+        for ci, x in enumerate(xs):
+            expect = expect.add(x.scale(ring.from_int(ci + 1)))
+        assert permute_factors_element(total, perm) == expect

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,53 @@ def test_mackey_check_builds_g_x_g_once(capsys, monkeypatch):
     assert out.splitlines() == [
         "Mackey identity on D8: verified on all basis classes",
         *(f"  [D8/{label}]: ok" for label in labels)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a command built a G-set")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "S5", "--ring", "Q", "--invert"),
+    ("separable", "functor", "prod(S3,S3)", "--ring", "Q"),
+    ("separable", "functor", "S4", "--ring", "Z/2"),
+])
+def test_gamma_commands_build_no_gset(capsys, monkeypatch, argv):
+    import burnside.gsets
+
+    monkeypatch.setattr(burnside.gsets.GSet, "__init__", _refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("spec", ["C3", "Q8", "D12", "prod(C2,prod(C2,C2))", "C15"])
+def test_mackey_check_induces_no_gset(capsys, monkeypatch, spec):
+    # every burnside module that binds the two names gets the refusal
+    import burnside.gsets
+
+    for name in ("induce", "conjugation_gset"):
+        orig = getattr(burnside.gsets, name)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("burnside")]:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, _refuse)
+    code, out, _ = run_cli(capsys, "mackey-check", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["all_verified"] is True
+
+
+@pytest.mark.parametrize("argv,system", [
+    (("separable", "ring", "prod(D8,D8)", "--ring", "Z/2"), "Casimir"),
+    (("derivations", "prod(C2,prod(C2,prod(C2,prod(C2,C2))))", "--ring", "Z/2"),
+     "Leibniz"),
+])
+def test_oversized_system_is_refused_before_it_is_built(capsys, argv, system):
+    # 9.8M Casimir rows and 26M Leibniz rows, against the cap of 10^6
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith(f"E_RESOURCE: the {system} system of ")
+    assert err.endswith("rows; systems are capped at 1000000\n")
 
 
 def test_separable_ring_json(capsys):
@@ -291,6 +339,29 @@ def test_idempotent_and_inverse_json_bytes(capsys, argv, digest):
 def test_zero_derivations_json_bytes(capsys, argv, digest):
     # pinned from the Leibniz system eliminated over Q (for Z and Q) and
     # mod m, before a unit |G| was decided by the Casimir element alone
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("gamma", "S5", "--ring", "Q", "--invert"),
+     "5cca3f15d38fe16b8291f4ea0ef834133759de04d4850eb54d8a7ee4267fd5d1"),
+    (("gamma", "perm:(1 2 3 4 5);(1 2 3)", "--ring", "Z/7", "--invert"),
+     "52f3165ebf79c91cc389c07c21675d798304d3c0c5553b9d8a7a56c003a2fec4"),
+    (("separable", "functor", "prod(S3,S3)", "--ring", "Q"),
+     "22642bb7c4b42512154e2a7068985f74f9a6ad0b406b1238c9cf18d24267dbc5"),
+    (("separable", "functor", "S4", "--ring", "Z/2"),
+     "ceca8f999e20ad5024919c2375746c9393c45427f5eb90cd131c2eb692cd6dc3"),
+    (("mackey-check", "Q8"),
+     "bef53b1715ab8106aa75c20e88ae6b73c7a7f58a3e7eac8a58791d1126a0030e"),
+    (("mackey-check", "prod(C3,C3)"),
+     "fab5da4c005cfb686a9b632f48e168d46631012a37391c2692de11fd3e731017"),
+])
+def test_gamma_and_diagonal_json_bytes(capsys, argv, digest):
+    # pinned from gamma decomposed off the conjugation G-set and from
+    # diagonal induction built as a G x G-set, before both were read off
+    # the subgroup lattice
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -326,6 +326,21 @@ def test_commutant_resource_bound():
         commutant_basis(build_group("D16"), QQ)
 
 
+def test_system_row_cap_is_checked_before_the_build(monkeypatch):
+    # S3 has 4 classes: 4^3 + 4 = 68 Casimir rows and 4^2 * 5 / 2 = 40
+    # Leibniz rows; a system exactly at the cap is built, one above it not
+    g = build_group("S3")
+    for build, rows in ((casimir_linear_system, 68), (leibniz_system, 40)):
+        monkeypatch.setattr(burnside.separability, "_MAX_SYSTEM_ROWS", rows)
+        built = build(g, ZZ)
+        assert (built[0] if isinstance(built, tuple) else built).rows == rows
+        monkeypatch.setattr(burnside.separability, "_MAX_SYSTEM_ROWS", rows - 1)
+        monkeypatch.setattr(burnside.separability, "_basis_mult_matrices", None)
+        with pytest.raises(ResourceBoundError, match=f"would have {rows} rows"):
+            build(g, ZZ)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("spec", ["C1", "C2", "C3", "C4", "C5", "C6", "S3",
                                   "prod(C2,C2)", "prod(C2,C3)"])
 def test_commutant_matches_explicit_induction(spec):
