@@ -7,6 +7,8 @@ plain orbit/quotient computations on carriers, which keeps every
 identity checkable against explicit decompositions.  The conjugation
 class and diagonal induction have their orbits in closed form, so they
 are read off the subgroup lattice instead, and no G-set is built.
+Mackey's diagonal restriction reads each G x G-set at the rows (x, x),
+as a G-set over G itself.
 
 Product groups carry an ordered factor list; the diagonal operations
 take explicit factor indices and an explicit output layout, because the
@@ -34,14 +36,13 @@ from .groups import (
     Subgroup,
     _cyclic,
     balanced_product,
-    diagonal_subgroup,
     direct_product,
     element_classes,
     is_homomorphism,
     squared,
     subgroup_lattice,
 )
-from .gsets import GSet, restrict
+from .gsets import GSet
 from .rings import ZZ
 
 _TRIVIAL = _cyclic(1)
@@ -98,8 +99,9 @@ def elementary_restriction(g: Group, h: Subgroup) -> Biset:
 
 def elementary_iso(src: Group, dst: Group, mapping) -> Biset:
     """The (dst, src)-biset src along a verified isomorphism src -> dst."""
-    mapping = tuple(int(x) for x in mapping)
-    if len(mapping) != src.order or sorted(mapping) != list(range(dst.order)):
+    mapping = tuple(mapping)
+    if (len(mapping) != src.order or not all(isinstance(x, int) for x in mapping)
+            or sorted(mapping) != list(range(dst.order))):
         raise NotAnIsomorphismError("map is not a bijection onto dst")
     if not is_homomorphism(src, dst, mapping):
         raise NotAnIsomorphismError("map is not a homomorphism")
@@ -343,28 +345,36 @@ def gamma(g: Group, ring=ZZ) -> BurnsideElement:
     return BurnsideElement(g, ring, {ci: ring.from_int(c) for ci, c in counts.items()})
 
 
-def _diagonal_of(gg: Group) -> tuple[Group, Subgroup]:
+def _diagonal_of(gg: Group) -> Group:
+    """G, for a group gg recorded as the product G x G."""
     if len(gg.factors) != 2 or gg.factors[0] != gg.factors[1]:
         raise NotAProductGroupError(
             "operation needs a group recorded as a product G x G")
-    g = gg.factors[0]
-    return g, diagonal_subgroup(g, gg)
+    return gg.factors[0]
 
 
 def diagonal_induce(a: BurnsideElement, gg: Group | None = None) -> BurnsideElement:
     """Induce along the diagonal G = Delta(G) <= G x G; [G/L] -> [GG/Delta(L)].
 
     Delta(L) and Delta(L') are conjugate in G x G only if L and L' are
-    conjugate in G, so distinct classes go to distinct classes.
+    conjugate in G, so distinct classes go to distinct classes.  A given
+    gg must be recorded as a.group x a.group.
     """
     g = a.group
     gg = gg if gg is not None else squared(g)
+    if _diagonal_of(gg) != g:
+        raise NotAProductGroupError(f"gg must be {g.label} x {g.label}")
     n = g.order
     cls = _image_classes(g, gg, lambda x: x * n + x, a.coeffs)
     return BurnsideElement(gg, a.ring, dict(zip(cls, a.coeffs.values())))
 
 
 def diagonal_restrict(a: BurnsideElement) -> BurnsideElement:
-    """Restrict along Delta(G) = G inside a recorded product G x G."""
-    g, delta = _diagonal_of(a.group)
-    return _extend(a, g, lambda x: restrict(x, delta).rehomed(g))
+    """Restrict along x -> (x, x), from a recorded product G x G to G.
+
+    (x, x) is element x*|G| + x = x*(|G| + 1), so each transitive G x G-set
+    restricts to its rows there, read as a G-set over G.
+    """
+    g = _diagonal_of(a.group)
+    rows = range(0, g.order * g.order, g.order + 1)
+    return _extend(a, g, lambda x: GSet(g, [x.action[r] for r in rows], validate=False))

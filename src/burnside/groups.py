@@ -2,7 +2,11 @@
 
 Elements of a group of order n are the integers 0..n-1, with a
 distinguished identity index.  Groups compare equal structurally (same
-order, identity and table).
+order, identity and table).  A table must hold ints, and so must the
+identity: 1.5, 1.0 or "1" is refused with NotAGroupError by the range
+check that reads every entry, never truncated.  The table is stored as
+given, its rows made tuples, so a table the package builds is not
+converted entry by entry.
 
 The subgroup lattice is the per-group record everything else reads:
 subgroups, conjugacy classes, Moebius values and the table of marks.
@@ -64,9 +68,9 @@ class Group:
     """
 
     def __init__(self, mul, identity=0, label="?", factors=None):
-        self.mul_table = tuple(tuple(int(x) for x in row) for row in mul)
+        self.mul_table = tuple(map(tuple, mul))
         self.order = len(self.mul_table)
-        self.identity = int(identity)
+        self.identity = identity
         self.label = str(label)
         if self.order == 0:
             raise NotAGroupError("empty multiplication table")
@@ -88,13 +92,14 @@ class Group:
 
     def _validate_shape(self):
         n = self.order
-        if not (0 <= self.identity < n):
+        # entries are ints: 1.5, 1.0 and "1" are refused, not truncated
+        if not (isinstance(self.identity, int) and 0 <= self.identity < n):
             raise NotAGroupError("identity index out of range")
         for row in self.mul_table:
             if len(row) != n:
                 raise NotAGroupError("multiplication table is not square")
             for x in row:
-                if not (0 <= x < n):
+                if not (isinstance(x, int) and 0 <= x < n):
                     raise NotAGroupError("table entry out of range")
         e = self.identity
         for a in range(n):
@@ -297,8 +302,8 @@ def _join(mul, members, mask, gens, z):
 def subgroup_closure(g: Group, gens) -> Subgroup:
     """Smallest subgroup of g containing the given elements."""
     members, mask, hgens = [g.identity], 1 << g.identity, ()
-    for x in map(int, gens):
-        if not 0 <= x < g.order:
+    for x in gens:
+        if not (isinstance(x, int) and 0 <= x < g.order):
             raise NotContainedError(f"element {x} outside parent group")
         if not mask >> x & 1:
             members, mask, hgens = _join(g.mul_table, members, mask, hgens, x)
@@ -712,16 +717,21 @@ def centralizer_of_element(g: Group, x: int) -> Subgroup:
 
 
 def element_classes(g: Group):
-    """Conjugacy classes of elements: (representative, class, centralizer)."""
-    seen = [False] * g.order
-    out = []
+    """Conjugacy classes of elements: (representative, class, centralizer).
+
+    One pass over the conjugates y*x*y^-1 of each new x gives its class,
+    and the y with y*x*y^-1 = x are its centralizer.  Equal centralizers
+    share one Subgroup, so an abelian group builds one.
+    """
+    centralizer = functools.cache(lambda members: Subgroup(g, members))
+    seen, out = set(), []
     for x in g.elements():
-        if seen[x]:
+        if x in seen:
             continue
-        cls = sorted({g.conj(y, x) for y in g.elements()})
-        for c in cls:
-            seen[c] = True
-        out.append((x, tuple(cls), centralizer_of_element(g, x)))
+        conj = [g.conj(y, x) for y in g.elements()]
+        seen.update(conj)
+        cz = tuple(y for y, c in enumerate(conj) if c == x)
+        out.append((x, tuple(sorted(set(conj))), centralizer(cz)))
     return out
 
 

@@ -1,12 +1,14 @@
 """Finite left actions of a group on an indexed point set.
 
-A GSet stores the action as a dense table action[g][p].  Construction
-verifies that the identity fixes every point and that the action is
+A GSet stores the action as a dense table action[g][p], as given, its
+rows made tuples.  Construction verifies that every entry is an int
+point index (1.5, 1.0 or "1" is refused with NotAGroupError, never
+truncated), that the identity fixes every point and that the action is
 compatible with multiplication; the compatibility check runs over a
 generating set of the group, which propagates to all elements.  The
 sets built here as actions by construction (``transitive``, ``product``,
 ``disjoint_union``, ``induce``, ``restrict`` and ``rehomed``) skip that
-check.
+check, as does Mackey's diagonal restriction in ``bisets``.
 
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
@@ -14,8 +16,9 @@ downstream.  Biset composition, the diagonal merge and Mackey's diagonal
 restriction need these concrete sets.  The algebra multiplies through
 the table of marks instead, and the conjugation class, diagonal
 induction and the commutant are read off the subgroup lattice;
-``product``, ``fixed_points``, ``decompose``, ``conjugation_gset`` and
-``induce`` are the reference routes the tests check them against.
+``product``, ``fixed_points``, ``decompose``, ``conjugation_gset``,
+``induce`` and ``restrict`` are the reference routes the tests check
+them against.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class GSet:
 
     def __init__(self, group: Group, action, validate=True):
         self.group = group
-        self.action = tuple(tuple(int(x) for x in row) for row in action)
+        self.action = tuple(map(tuple, action))
         if len(self.action) != group.order:
             raise NotAGroupError("action table needs one row per group element")
         self.size = len(self.action[group.identity])
@@ -52,7 +55,7 @@ class GSet:
             if len(row) != n:
                 raise NotAGroupError("ragged action table")
             for x in row:
-                if not (0 <= x < n):
+                if not (isinstance(x, int) and 0 <= x < n):
                     raise NotAGroupError("action value out of range")
         ident = self.action[self.group.identity]
         if any(ident[p] != p for p in range(n)):
@@ -223,10 +226,10 @@ def induce_along(x: GSet, images, k: Group) -> GSet:
     subgroup with x's group made explicit instead of positional.
     """
     b_group = x.group
-    images = [int(v) for v in images]
+    images = list(images)
     if len(images) != b_group.order or len(set(images)) != b_group.order:
         raise NotAGroupError("images must list one distinct target per element")
-    if not all(0 <= v < k.order for v in images):
+    if not all(isinstance(v, int) and 0 <= v < k.order for v in images):
         raise NotContainedError("image outside the target group")
     if not is_homomorphism(b_group, k, images):
         raise NotAGroupError("images do not define a homomorphism")
@@ -241,9 +244,7 @@ def restrict(x: GSet, h: Subgroup) -> GSet:
     """Restriction along h <= group of x; the point set is unchanged."""
     if h.parent != x.group:
         raise NotContainedError("subgroup belongs to a different group")
-    hg = h.as_group()
-    action = [x.action[h.members[i]] for i in range(h.order)]
-    return GSet(hg, action, validate=False)
+    return GSet(h.as_group(), [x.action[m] for m in h.members], validate=False)
 
 
 def iso_equal(x: GSet, y: GSet) -> bool:

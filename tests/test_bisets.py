@@ -376,6 +376,36 @@ def test_diagonal_restrict_requires_square():
         diagonal_restrict(identity_element(p, ZZ))
 
 
+@pytest.mark.parametrize("gg", ["C36", "prod(S3,S3)"])
+def test_diagonal_induce_needs_the_square_of_its_group(gg):
+    # C36 has order 6^2 but is no product; S3 x S3 is the wrong square
+    c6 = build_group("C6")
+    with pytest.raises(NotAProductGroupError):
+        diagonal_induce(BurnsideElement.basis(c6, ZZ, 0), gg=build_group(gg))
+
+
+@pytest.mark.parametrize("spec", ["C6", "S3", "prod(C2,C2)"])
+def test_diagonal_induce_with_and_without_gg(spec):
+    g = build_group(spec)
+    gg, copy = squared(g), squared(build_group(spec))
+    for ci in range(subgroup_lattice(g).class_count):
+        a = BurnsideElement.basis(g, ZZ, ci)
+        ind = diagonal_induce(a)
+        assert diagonal_induce(a, gg=gg) == ind
+        assert diagonal_induce(a, gg=copy) == ind
+        assert diagonal_induce(a, gg=gg).group is gg
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_elementary_iso_refuses_a_non_int_map(bad):
+    c2 = build_group("C2")
+    assert elementary_iso(c2, c2, [0, 1]).size == 2
+    with pytest.raises(NotAnIsomorphismError, match="bijection"):
+        elementary_iso(c2, c2, [0, bad])
+    with pytest.raises(NotAnIsomorphismError):
+        elementary_iso(c2, c2, [0.3, 1.2])  # once read as [0, 1]
+
+
 @pytest.mark.parametrize("spec", ["C2", "C3", "prod(C2,C2)", "S3"])
 def test_mackey_identity_on_basis(spec):
     g = build_group(spec)
@@ -545,6 +575,28 @@ def test_diagonal_induce_matches_concrete_induction(spec):
         total = total.add(BurnsideElement.basis(g, ZZ, ci).scale(ci + 1))
         expect = expect.add(BurnsideElement.from_gset(x, ZZ).scale(ci + 1))
     assert diagonal_induce(total, gg) == expect
+
+
+@pytest.mark.parametrize("spec", [f"C{n}" for n in range(1, 16)]
+                         + ["Q8", "D12", "prod(C2,prod(C2,C2))"])
+def test_diagonal_restrict_matches_restriction_to_the_diagonal_subgroup(spec):
+    # the rows at (x, x) against the G x G-set restricted to Delta(G) as a
+    # Subgroup, carried over to G
+    g = build_group(spec)
+    gg = squared(g)
+    delta = diagonal_subgroup(g, gg)
+    n = subgroup_lattice(gg).class_count
+    expect = BurnsideElement.zero(g, ZZ)
+    for ci in range(n):
+        x = BurnsideElement.from_gset(
+            restrict(transitive_of_class(gg, ci), delta).rehomed(g), ZZ)
+        res = diagonal_restrict(BurnsideElement.basis(gg, ZZ, ci))
+        assert res == x
+        assert res.group is g
+        expect = expect.add(x.scale(ci + 1))
+    # and linearly, with a different coefficient on each class
+    total = BurnsideElement(gg, ZZ, {ci: ci + 1 for ci in range(n)})
+    assert diagonal_restrict(total) == expect
 
 
 @pytest.mark.parametrize("spec,perm", [

@@ -150,6 +150,66 @@ def test_mackey_check_induces_no_gset(capsys, monkeypatch, spec):
     assert json.loads(out)["all_verified"] is True
 
 
+@pytest.mark.parametrize("argv,cls,count", [
+    (("mackey-check", "D12"), "Group", 2),  # D12 and D12 x D12
+    (("group", "info", "C255"), "Subgroup", 1),  # every centralizer is C255
+])
+def test_commands_build_each_group_and_centralizer_once(capsys, monkeypatch,
+                                                        argv, cls, count):
+    import burnside.groups
+
+    built = []
+    klass = getattr(burnside.groups, cls)
+    init = klass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(klass, "__init__", counted)
+    code, _, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert len(built) == count
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "D12", "C15", "prod(C2,prod(C2,C2))"])
+def test_mackey_check_restricts_without_a_diagonal_subgroup(capsys, monkeypatch, spec):
+    # every burnside module that binds the two names gets the refusal
+    import burnside.groups
+    import burnside.gsets
+
+    for owner, name in ((burnside.gsets, "restrict"),
+                        (burnside.groups, "diagonal_subgroup")):
+        orig = getattr(owner, name)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("burnside")]:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, _refuse)
+    monkeypatch.setattr(burnside.groups.Subgroup, "as_group", _refuse)
+    code, out, _ = run_cli(capsys, "mackey-check", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["all_verified"] is True
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("group", "info", "C255"),
+     "79d2ed74c512d272f814f5ad270e847a5d39d6a3e607104331a388a7cd47797e"),
+    (("group", "info", "prod(C15,C15)"),
+     "774bc794740ebfb17f003d6e75bb3f69a06203b6ba7f077379583c9db628202f"),
+    (("gamma", "C255", "--ring", "Q", "--invert"),
+     "7d8ce75ef5d319973411f6753d2c5ff48a0e48a2830d36c6774951801947a56d"),
+    (("mackey-check", "C15"),
+     "cab0c900fc8e1194ebdbac40f0a8cd4e7429240e209716088f4c6410218345f2"),
+    (("mackey-check", "prod(C2,prod(C2,C2))"),
+     "448c2d751887aa0c8cc6b0fa5987c4de6d6a08754bcc8ec3623caabb4d7e6ddb"),
+])
+def test_centralizer_and_restriction_json_bytes(capsys, argv, digest):
+    # pinned from centralizers found by a second scan of G, and from the
+    # restriction taken to a Delta(G) Subgroup and carried over to G
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,system", [
     (("separable", "ring", "prod(D8,D8)", "--ring", "Z/2"), "Casimir"),
     (("derivations", "prod(C2,prod(C2,prod(C2,prod(C2,C2))))", "--ring", "Z/2"),

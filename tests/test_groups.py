@@ -114,6 +114,24 @@ def test_bad_table_rejected():
                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_group_table_and_identity_must_hold_ints(bad):
+    # refused, not truncated: 1.5, 1.0 and "1" all once read as 1
+    with pytest.raises(NotAGroupError, match="^table entry out of range$"):
+        Group([[0, bad], [bad, 0]])
+    # C2 with identity 1
+    assert Group([[1, 0], [0, 1]], identity=1).identity == 1
+    with pytest.raises(NotAGroupError, match="^identity index out of range$"):
+        Group([[1, 0], [0, 1]], identity=bad)
+
+
+def test_group_keeps_the_rows_it_is_given():
+    rows = ((0, 1), (1, 0))
+    g = Group(rows)
+    assert g.mul_table == rows and all(a is b for a, b in zip(g.mul_table, rows))
+    assert Group([[0, 1], [1, 0]]) == g
+
+
 def test_balanced_product_without_gluing_numbers_the_plain_pairs():
     # C3 shifting s and swapping t, with nothing glued: pair (s, t) is class 2s + t
     shift = [[(s + a) % 3 for s in range(3)] for a in range(3)]
@@ -166,6 +184,31 @@ def test_s3_element_classes():
     # centralizer orders: |G| / class size
     for rep, c, cz in cls:
         assert cz.order * len(c) == g.order
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "Q8", "D12", A5, "S5",
+                                  "prod(S3,S3)", "C255"])
+def test_element_classes_match_conjugation_and_centralizer_scan(spec):
+    # the old route: each class by conjugating its least member, each
+    # centralizer by centralizer_of_element
+    g = build_group(spec)
+    seen, expect = set(), []
+    for x in g.elements():
+        if x not in seen:
+            cls = tuple(sorted({g.conj(y, x) for y in g.elements()}))
+            seen.update(cls)
+            expect.append((x, cls, centralizer_of_element(g, x)))
+    got = element_classes(g)
+    assert [(x, cls, cz.members) for x, cls, cz in got] == \
+        [(x, cls, cz.members) for x, cls, cz in expect]
+    assert all(cz.parent is g for _, _, cz in got)
+
+
+def test_equal_centralizers_share_one_subgroup():
+    c255 = build_group("C255")
+    assert len({id(cz) for _, _, cz in element_classes(c255)}) == 1
+    # S3: the identity's centralizer, one of order 2, one of order 3
+    assert len({id(cz) for _, _, cz in element_classes(build_group("S3"))}) == 3
 
 
 def test_abelian_element_classes_are_singletons():
@@ -300,6 +343,29 @@ def test_subgroup_member_must_be_an_element(members, bad):
     assert Subgroup(s3, [0, 1]).order == 2
     with pytest.raises(NotContainedError, match=f"^element {bad} outside parent"):
         Subgroup(s3, members)
+
+
+@pytest.mark.parametrize("members,message", [
+    ([0, 1, 2], "subgroup not closed under product"),  # two transpositions
+    ([0, 3], "subgroup not closed under inverse"),  # a 3-cycle without its inverse
+    ([1, 2], "subgroup lacks the identity"),
+    ([], "subgroup cannot be empty"),
+])
+def test_subgroup_refuses_a_set_that_is_not_closed(members, message):
+    # S3's elements are the permutations of 0..2 in lexicographic order
+    s3 = build_group("S3")
+    with pytest.raises(NotAGroupError, match=f"^{message}$"):
+        Subgroup(s3, members)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_subgroup_closure_refuses_a_non_int(bad):
+    s3 = build_group("S3")
+    assert subgroup_closure(s3, [1]).members == (0, 1)
+    with pytest.raises(NotContainedError, match=f"^element {bad} outside parent"):
+        subgroup_closure(s3, [bad])
+    with pytest.raises(NotContainedError):
+        subgroup_closure(s3, [1.9])  # once truncated to {0, 1}
 
 
 def test_normalizer_and_centralizers_s3():

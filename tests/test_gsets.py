@@ -55,6 +55,31 @@ def test_induce_along_needs_a_homomorphism():
             induce_along(regular(c2), images, c4)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_induce_along_refuses_a_non_int_image(bad):
+    c2, c4 = build_group("C2"), build_group("C4")
+    assert induce_along(regular(c2), [0, 1], c2).size == 2
+    with pytest.raises(NotContainedError, match="^image outside the target group$"):
+        induce_along(regular(c2), [0, bad], c2)
+    with pytest.raises(NotContainedError):
+        induce_along(regular(c2), [0.4, 2.7], c4)  # once read as [0, 2]
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_action_table_must_hold_ints(bad):
+    c2 = build_group("C2")
+    for action in ([[0, bad], [bad, 0]], [[0, 1], [bad, 0]]):
+        with pytest.raises(NotAGroupError, match="^action value out of range$"):
+            GSet(c2, action)
+
+
+def test_gset_keeps_the_rows_it_is_given():
+    c2 = build_group("C2")
+    rows = ((0, 1), (1, 0))
+    x = GSet(c2, rows)
+    assert x.action == rows and all(a is b for a, b in zip(x.action, rows))
+
+
 def test_transitive_needs_containment():
     s3 = build_group("S3")
     c2 = build_group("C2")
