@@ -164,7 +164,8 @@ class BurnsideElement:
 
     Zero coefficients are dropped on construction, so equal elements have
     equal coefficient dictionaries.  A class index outside 0..n-1, n the
-    number of subgroup classes, raises NotContainedError.
+    number of subgroup classes, or one that is not an int, raises
+    NotContainedError.
     """
 
     __slots__ = ("group", "ring", "coeffs")
@@ -172,6 +173,12 @@ class BurnsideElement:
     def __init__(self, group: Group, ring, coeffs: dict):
         self.group = group
         self.ring = ring
+        try:  # at C speed: a float or Fraction key makes the sum one
+            if type(sum(coeffs)) is not int:
+                raise TypeError
+        except TypeError:
+            k = next(k for k in coeffs if not isinstance(k, int))
+            raise NotContainedError(f"subgroup class {k!r} is not an int") from None
         keys = sorted(coeffs)
         if keys and (keys[0] < 0 or keys[-1] >= subgroup_lattice(group).class_count):
             k = keys[0] if keys[0] < 0 else keys[-1]

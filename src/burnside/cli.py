@@ -24,14 +24,11 @@ from .algebra import (
     marks_vector,
     multiply,
     table_of_marks,
+    transitive_of_class,
 )
-from .bisets import diagonal_induce, diagonal_restrict, gamma
-from .groups import (
-    build_group,
-    element_classes,
-    squared,
-    subgroup_lattice,
-)
+from .bisets import gamma
+from .groups import build_group, element_classes, subgroup_lattice
+from .gsets import conjugation_gset, product
 from .rings import ZZ, ring_from_spec
 from .separability import (
     commutant_basis,
@@ -206,14 +203,27 @@ def cmd_gamma(g, ring, args):
     return payload, lines
 
 
+# Res_Delta Ind_Delta [G/H] is built as the G-set G_conj x G/H, through the
+# G-isomorphism (a, b)Delta(H) -> (a*b^-1, bH) (Bouc, Biset Functors for
+# Finite Groups, 2010), so no G x G group is built.  Its action tables hold
+# sum_H |G|^2 |G:H| entries, capped before any set is built: S5 (7.4
+# million) fits, C255 (28.1 million) does not.
+_MACKEY_MAX_ENTRIES = 10**7
+
+
 def cmd_mackey_check(g, ring, args):
     lat = subgroup_lattice(g)
-    gam, gg = gamma(g, ZZ), squared(g)
+    n = g.order
+    entries = n * n * sum(n // lat.class_rep(ci).order for ci in range(lat.class_count))
+    if entries > _MACKEY_MAX_ENTRIES:
+        raise errors.ResourceBoundError(
+            f"mackey-check on {g.label} would build {entries} action-table "
+            f"entries, above the cap of {_MACKEY_MAX_ENTRIES}")
+    gam, conj = gamma(g, ZZ), conjugation_gset(g)
     results = []
     for ci in range(lat.class_count):
-        alpha = BurnsideElement.basis(g, ZZ, ci)
-        lhs = diagonal_restrict(diagonal_induce(alpha, gg))
-        rhs = multiply(gam, alpha)
+        lhs = BurnsideElement.from_gset(product(conj, transitive_of_class(g, ci)), ZZ)
+        rhs = multiply(gam, BurnsideElement.basis(g, ZZ, ci))
         results.append({"label": lat.classes[ci].label, "verified": lhs == rhs})
     ok = all(r["verified"] for r in results)
     payload = {

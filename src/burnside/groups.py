@@ -709,8 +709,8 @@ def centralizer_of_subgroup(g: Group, h: Subgroup) -> Subgroup:
 
 
 def centralizer_of_element(g: Group, x: int) -> Subgroup:
-    if not (0 <= x < g.order):
-        raise NotContainedError(f"element {x} outside group")
+    if not (isinstance(x, int) and 0 <= x < g.order):
+        raise NotContainedError(f"element {x!r} outside group")
     members = [y for y in g.elements()
                if g.mul_table[x][y] == g.mul_table[y][x]]
     return Subgroup(g, members)
@@ -789,7 +789,10 @@ def direct_product(g: Group, h: Group) -> Group:
 
 
 def squared(g: Group) -> Group:
-    """G x G; a base whose square exceeds the order bound is a resource cap."""
+    """G x G; a base whose square exceeds the order bound is a resource cap.
+
+    ``commutant`` is the one command that builds G x G, so the cap is its own.
+    """
     if g.order * g.order > MAX_GROUP_ORDER:
         raise ResourceBoundError(
             f"G x G computations are capped at base order "

@@ -13,12 +13,14 @@ check, as does Mackey's diagonal restriction in ``bisets``.
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
 downstream.  Biset composition, the diagonal merge and Mackey's diagonal
-restriction need these concrete sets.  The algebra multiplies through
-the table of marks instead, and the conjugation class, diagonal
-induction and the commutant are read off the subgroup lattice;
-``product``, ``fixed_points``, ``decompose``, ``conjugation_gset``,
-``induce`` and ``restrict`` are the reference routes the tests check
-them against.
+restriction need these concrete sets, and so does ``mackey-check``: it
+builds Res Ind [G/H] along the diagonal as ``product`` of
+``conjugation_gset`` and G/H, and reads its class off ``decompose``.
+The algebra multiplies through the table of marks instead, and the
+conjugation class, diagonal induction and the commutant are read off the
+subgroup lattice; ``fixed_points``, ``induce`` and ``restrict`` are the
+reference routes the tests check them against, and ``conjugation_gset``
+is also the one for the conjugation class.
 """
 
 from __future__ import annotations
@@ -122,10 +124,8 @@ def product(x: GSet, y: GSet) -> GSet:
     if x.group != y.group:
         raise GroupMismatchError("product needs G-sets over the same group")
     ny = y.size
-    action = [
-        [xa[p] * ny + ya[q] for p in x.points() for q in y.points()]
-        for xa, ya in zip(x.action, y.action)
-    ]
+    action = [[b + c for b in map(ny.__mul__, xa) for c in ya]
+              for xa, ya in zip(x.action, y.action)]
     return GSet(x.group, action, validate=False)
 
 
@@ -161,6 +161,8 @@ def orbits(x: GSet):
 
 
 def stabilizer(x: GSet, p: int) -> Subgroup:
+    if not (isinstance(p, int) and 0 <= p < x.size):
+        raise NotContainedError(f"point {p!r} outside the G-set")
     return Subgroup(x.group, [g for g in x.group.elements() if x.action[g][p] == p])
 
 

@@ -93,6 +93,8 @@ class ModularRing:
     m: int
 
     def __post_init__(self):
+        if type(self.m) is not int:
+            raise ParseError(f"modulus must be an int, got {self.m!r}")
         if self.m < 2:
             raise ParseError(f"modulus must be >= 2, got {self.m}")
 
@@ -174,9 +176,16 @@ class Matrix:
     @classmethod
     def from_sparse(cls, ring, cols, rows):
         """The matrix of {column: value} rows, values normalised into the
-        ring; a column outside 0..cols-1 raises DimensionMismatchError."""
+        ring; a column that is not an int in 0..cols-1 raises
+        DimensionMismatchError."""
         sparse = []
         for row in rows:
+            try:  # at C speed: a float or Fraction column makes the sum one
+                if type(sum(row)) is not int:
+                    raise TypeError
+            except TypeError:
+                j = next(j for j in row if not isinstance(j, int))
+                raise DimensionMismatchError(f"column {j!r} is not an int") from None
             items = sorted(row.items())
             if items and (items[0][0] < 0 or items[-1][0] >= cols):
                 j = items[0][0] if items[0][0] < 0 else items[-1][0]

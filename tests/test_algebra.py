@@ -141,6 +141,16 @@ def test_element_class_index_must_name_a_class(ci):
     assert BurnsideElement(s3, ZZ, {3: 1}) == identity_element(s3, ZZ)
 
 
+@pytest.mark.parametrize("ci", [1.5, 1.0, "1", None])
+def test_element_class_index_must_be_an_int(ci):
+    # 1.5 was once stored and then broke render; "1" broke the sort
+    s3 = build_group("S3")
+    for coeffs in ({ci: 1}, {0: 1, ci: 2}):
+        with pytest.raises(NotContainedError,
+                           match=f"^subgroup class {ci!r} is not an int$"):
+            BurnsideElement(s3, ZZ, coeffs)
+
+
 def test_lower_honours_the_denominator():
     assert lower(QQ, [6, -4, 3], 4) == [Fraction(3, 2), -1, Fraction(3, 4)]
     assert lower(ZZ, [6, -4, 0], 2) == [3, -2, 0]

@@ -54,6 +54,7 @@ from burnside.gsets import (
     fixed_points,
     induce,
     iso_equal,
+    product,
     restrict,
     transitive,
 )
@@ -414,6 +415,20 @@ def test_mackey_identity_on_basis(spec):
     for ci in range(lat.class_count):
         a = BurnsideElement.basis(g, ZZ, ci)
         assert diagonal_restrict(diagonal_induce(a)) == multiply(gam, a)
+
+
+@pytest.mark.parametrize("spec", [f"C{n}" for n in range(1, 16)]
+                         + ["S3", "prod(C2,C2)", "D8", "Q8", "D10", "D12", "D14",
+                            "prod(C2,prod(C2,C2))", "prod(C3,C3)"])
+def test_res_ind_along_the_diagonal_is_conjugation_times_coset_set(spec):
+    # (a, b)Delta(H) -> (a b^-1, bH) carries Res Ind [G/H] onto G_conj x G/H,
+    # the set mackey-check builds
+    g = build_group(spec)
+    conj = conjugation_gset(g)
+    for ci in range(subgroup_lattice(g).class_count):
+        x = product(conj, transitive_of_class(g, ci))
+        a = BurnsideElement.basis(g, ZZ, ci)
+        assert BurnsideElement.from_gset(x, ZZ) == diagonal_restrict(diagonal_induce(a))
 
 
 def test_diagonal_product_with_unit():

@@ -103,19 +103,66 @@ def test_mackey_check_json(capsys):
     validate(payload, "mackey_check.schema.json")
 
 
-def test_mackey_check_builds_g_x_g_once(capsys, monkeypatch):
-    import burnside.bisets
+def _refuse_once_built(monkeypatch, refusals):
+    """Patch each (owner, name, stub) into every burnside module that binds
+    the name, once the command line's group is built: building a
+    prod(...) spec itself calls direct_product."""
+    build = burnside.cli.build_group
 
-    def refuse(g):
-        raise AssertionError("diagonal_induce built G x G again")
+    def build_then_refuse(*args, **kwargs):
+        g = build(*args, **kwargs)
+        for owner, name, stub in refusals:
+            orig = getattr(owner, name)
+            for mod in [m for k, m in sys.modules.items() if k.startswith("burnside")]:
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, stub)
+        return g
 
-    monkeypatch.setattr(burnside.bisets, "squared", refuse)
+    monkeypatch.setattr(burnside.cli, "build_group", build_then_refuse)
+
+
+def _refuse_products(*args):
+    raise AssertionError("mackey-check built a product group")
+
+
+def test_mackey_check_builds_no_g_x_g(capsys, monkeypatch):
+    import burnside.groups
+
+    _refuse_once_built(monkeypatch, [(burnside.groups, name, _refuse_products)
+                                     for name in ("squared", "direct_product")])
     code, out, _ = run_cli(capsys, "mackey-check", "D8")
     assert code == 0
     labels = ["1#1", "2#1", "2#2", "2#3", "4#1", "4#2", "4#3", "8#1"]
     assert out.splitlines() == [
         "Mackey identity on D8: verified on all basis classes",
         *(f"  [D8/{label}]: ok" for label in labels)]
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)",
+                                  "prod(C2,prod(C2,prod(C2,C2)))", "S5"])
+def test_mackey_check_verifies_the_ladder_above_order_15(capsys, monkeypatch, spec):
+    import burnside.groups
+    from burnside.groups import build_group, subgroup_lattice
+
+    classes = subgroup_lattice(build_group(spec)).class_count
+    _refuse_once_built(monkeypatch, [(burnside.groups, name, _refuse_products)
+                                     for name in ("squared", "direct_product")])
+    code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_verified"] is True
+    assert len(payload["basis"]) == classes
+    validate(payload, "mackey_check.schema.json")
+
+
+def test_mackey_check_caps_entries_before_building_a_gset(capsys, monkeypatch):
+    # C255: 255^2 * (1 + 3 + 5 + 15 + 17 + 51 + 85 + 255) = 28,090,800 entries
+    import burnside.gsets
+
+    monkeypatch.setattr(burnside.gsets.GSet, "__init__", _refuse)
+    code, out, err = run_cli(capsys, "mackey-check", "C255")
+    assert (code, out) == (2, "")
+    assert err.startswith("E_RESOURCE: mackey-check on C255 would build 28090800 ")
 
 
 def _refuse(*args, **kwargs):
@@ -137,21 +184,23 @@ def test_gamma_commands_build_no_gset(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("spec", ["C3", "Q8", "D12", "prod(C2,prod(C2,C2))", "C15"])
 def test_mackey_check_induces_no_gset(capsys, monkeypatch, spec):
-    # every burnside module that binds the two names gets the refusal
+    # the left side is G_conj x G/H, not a set induced to G x G
+    import burnside.bisets
+    import burnside.groups
     import burnside.gsets
 
-    for name in ("induce", "conjugation_gset"):
-        orig = getattr(burnside.gsets, name)
-        for mod in [m for k, m in sys.modules.items() if k.startswith("burnside")]:
-            if getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, _refuse)
+    _refuse_once_built(monkeypatch, [
+        (burnside.gsets, "induce", _refuse),
+        (burnside.bisets, "diagonal_induce", _refuse),
+        (burnside.groups, "squared", _refuse_products),
+        (burnside.groups, "direct_product", _refuse_products)])
     code, out, _ = run_cli(capsys, "mackey-check", spec, "--json")
     assert code == 0
     assert json.loads(out)["all_verified"] is True
 
 
 @pytest.mark.parametrize("argv,cls,count", [
-    (("mackey-check", "D12"), "Group", 2),  # D12 and D12 x D12
+    (("mackey-check", "D12"), "Group", 1),  # D12 alone, no D12 x D12
     (("group", "info", "C255"), "Subgroup", 1),  # every centralizer is C255
 ])
 def test_commands_build_each_group_and_centralizer_once(capsys, monkeypatch,
@@ -452,9 +501,11 @@ def test_error_codes(capsys):
         (("idempotents", "C2", "--ring", "Z"), "E_RING: |G| = 2 is not a unit in Z"),
         (("separable", "ring", "C2", "--ring", "GF(9)"),
          "E_PARSE: unknown ring spec 'GF(9)' (expected Z, Q or Z/<m>)"),
-        # one bound on G x G for every command that builds it
+        # the bound on G x G is commutant's; mackey-check's counts entries
         (("commutant", "D16", "--ring", "Q"), bound),
-        (("mackey-check", "D16"), bound),
+        (("mackey-check", "C255"),
+         "E_RESOURCE: mackey-check on C255 would build 28090800 action-table "
+         "entries, above the cap of 10000000"),
         # nesting deeper than the parser's recursion is a parse error
         (("tom", "prod(C1," * 1200 + "C1" + ")" * 1200),
          "E_PARSE: group spec is nested too deeply"),

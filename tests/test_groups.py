@@ -368,6 +368,14 @@ def test_subgroup_closure_refuses_a_non_int(bad):
         subgroup_closure(s3, [1.9])  # once truncated to {0, 1}
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", -1, 6])
+def test_centralizer_of_element_refuses_a_non_element(bad):
+    s3 = build_group("S3")
+    assert centralizer_of_element(s3, 1).members == (0, 1)
+    with pytest.raises(NotContainedError, match=f"^element {bad!r} outside group$"):
+        centralizer_of_element(s3, bad)
+
+
 def test_normalizer_and_centralizers_s3():
     g = build_group("S3")
     lat = subgroup_lattice(g)

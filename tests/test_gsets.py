@@ -167,6 +167,15 @@ def test_orbit_stabilizer_theorem():
                 assert len(orb) * stabilizer(x, orb[0]).order == g.order
 
 
+@pytest.mark.parametrize("bad", [99, 6, -1, 1.0, 1.5, "1"])
+def test_stabilizer_refuses_a_non_point(bad):
+    # 6 is one past S3's regular set, and -1 must not count from the end
+    x = regular(build_group("S3"))
+    assert stabilizer(x, 5).order == 1
+    with pytest.raises(NotContainedError, match=f"^point {bad!r} outside the G-set$"):
+        stabilizer(x, bad)
+
+
 def test_decompose_regular_and_empty():
     s3 = build_group("S3")
     dec = decompose(regular(s3))

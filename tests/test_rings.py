@@ -94,6 +94,13 @@ def test_ring_from_spec():
             ring_from_spec(bad)
 
 
+@pytest.mark.parametrize("m", [2.5, 6.0, "6", True])
+def test_zmod_refuses_a_modulus_that_is_not_an_int(m):
+    assert Zmod(6).spec == "Z/6"
+    with pytest.raises(ParseError, match=f"^modulus must be an int, got {m!r}$"):
+        Zmod(m)
+
+
 def test_is_unit():
     assert not ZZ.is_unit(2)
     assert ZZ.is_unit(-1)
@@ -143,6 +150,14 @@ def test_from_sparse_column_must_be_in_range(ring):
             Matrix.from_sparse(ring, 2, [{0: 1}, row])
     assert Matrix.from_sparse(ring, 2, [{1: 1, 0: 0}]).sparse == (
         ((1, ring.from_int(1)),),)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_from_sparse_column_must_be_an_int(bad):
+    with pytest.raises(DimensionMismatchError, match=f"^column {bad!r} is not an int$"):
+        Matrix.from_sparse(ZZ, 3, [{0: 1}, {bad: 1}])
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_sparse(ZZ, 3, [{0: 1, bad: 1, 2: 1}])
 
 
 def test_matrix_drops_entries_that_vanish_mod_m():
