@@ -8,9 +8,11 @@ identity checkable against explicit decompositions.  The conjugation
 class and diagonal induction have their orbits in closed form, so they
 are read off the subgroup lattice instead, and no G-set is built.
 Mackey's diagonal restriction reads each G x G-set at the rows (x, x),
-as a G-set over G itself.  No command restricts along the diagonal:
-``mackey-check`` builds Res Ind [G/H] over G alone, as G_conj x G/H, and
-the tests check it against ``diagonal_restrict(diagonal_induce(x))``.
+as a G-set over G itself.  No command builds a G-set or restricts along
+the diagonal: ``mackey-check`` counts Res Ind [G/H] as the orbits of H
+acting on G by conjugation, and ``diagonal_induce``, ``diagonal_restrict``
+and the G-set G_conj x G/H are the reference routes the tests check it
+against.
 
 Product groups carry an ordered factor list; the diagonal operations
 take explicit factor indices and an explicit output layout, because the

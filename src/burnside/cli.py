@@ -24,11 +24,9 @@ from .algebra import (
     marks_vector,
     multiply,
     table_of_marks,
-    transitive_of_class,
 )
 from .bisets import gamma
 from .groups import build_group, element_classes, subgroup_lattice
-from .gsets import conjugation_gset, product
 from .rings import ZZ, ring_from_spec
 from .separability import (
     commutant_basis,
@@ -63,11 +61,8 @@ def _indented(obj, pad="\n"):
 
 
 def _emit(payload, lines, as_json):
-    if as_json:
-        print(_indented(payload))
-    else:
-        for line in lines:
-            print(line)
+    # flushed here, so a closed stdout raises inside main's try
+    print(_indented(payload) if as_json else "\n".join(lines), flush=True)
 
 
 def _max_order(args) -> int | None:
@@ -203,26 +198,25 @@ def cmd_gamma(g, ring, args):
     return payload, lines
 
 
-# Res_Delta Ind_Delta [G/H] is built as the G-set G_conj x G/H, through the
-# G-isomorphism (a, b)Delta(H) -> (a*b^-1, bH) (Bouc, Biset Functors for
-# Finite Groups, 2010), so no G x G group is built.  Its action tables hold
-# sum_H |G|^2 |G:H| entries, capped before any set is built: S5 (7.4
-# million) fits, C255 (28.1 million) does not.
-_MACKEY_MAX_ENTRIES = 10**7
-
+# Res_Delta Ind_Delta [G/H] is G_conj x G/H, through the G-isomorphism
+# (a, b)Delta(H) -> (a*b^-1, bH), and that is G x_H G_conj, through
+# [b, y] -> (b*y*b^-1, bH) (Bouc, Biset Functors for Finite Groups, 2010).
+# So its class is counted on the points of G: one [G/C_H(y)] per orbit of
+# H acting on G by conjugation, with no G x G group and no G-set built.
 
 def cmd_mackey_check(g, ring, args):
-    lat = subgroup_lattice(g)
-    n = g.order
-    entries = n * n * sum(n // lat.class_rep(ci).order for ci in range(lat.class_count))
-    if entries > _MACKEY_MAX_ENTRIES:
-        raise errors.ResourceBoundError(
-            f"mackey-check on {g.label} would build {entries} action-table "
-            f"entries, above the cap of {_MACKEY_MAX_ENTRIES}")
-    gam, conj = gamma(g, ZZ), conjugation_gset(g)
+    lat, gam = subgroup_lattice(g), gamma(g, ZZ)
     results = []
     for ci in range(lat.class_count):
-        lhs = BurnsideElement.from_gset(product(conj, transitive_of_class(g, ci)), ZZ)
+        h, seen, counts = lat.class_rep(ci).members, set(), {}
+        for y in g.elements():
+            if y not in seen:
+                orbit = [g.conj(x, y) for x in h]
+                seen.update(orbit)
+                k = lat.class_of[lat.subgroup_index(
+                    x for x, c in zip(h, orbit) if c == y)]
+                counts[k] = counts.get(k, 0) + 1
+        lhs = BurnsideElement(g, ZZ, counts)  # ZZ's values are the ints themselves
         rhs = multiply(gam, BurnsideElement.basis(g, ZZ, ci))
         results.append({"label": lat.classes[ci].label, "verified": lhs == rhs})
     ok = all(r["verified"] for r in results)
@@ -425,16 +419,22 @@ def parse_argv(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(_help())
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            print(_help(), flush=True)
+            return 0
         args = parse_argv(argv)
         # the group is parsed before the ring, so a bad pair reports the group
         g = build_group(args.spec, max_order=_max_order(args))
         ring = ring_from_spec(args.ring) if args.ring is not None else None
         _emit(*args.func(g, ring, args), args.json)
         return 0
+    except BrokenPipeError:
+        # The reader closed stdout, which is not an error of ours.  Point fd 1
+        # at devnull so the interpreter's last flush stays silent (the
+        # "Note on SIGPIPE" in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except errors.BurnsideError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2

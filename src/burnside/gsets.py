@@ -13,14 +13,14 @@ check, as does Mackey's diagonal restriction in ``bisets``.
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
 downstream.  Biset composition, the diagonal merge and Mackey's diagonal
-restriction need these concrete sets, and so does ``mackey-check``: it
-builds Res Ind [G/H] along the diagonal as ``product`` of
-``conjugation_gset`` and G/H, and reads its class off ``decompose``.
-The algebra multiplies through the table of marks instead, and the
-conjugation class, diagonal induction and the commutant are read off the
-subgroup lattice; ``fixed_points``, ``induce`` and ``restrict`` are the
-reference routes the tests check them against, and ``conjugation_gset``
-is also the one for the conjugation class.
+restriction need these concrete sets.  No command builds a G-set: the
+algebra multiplies through the table of marks, the conjugation class,
+diagonal induction and the commutant are read off the subgroup lattice,
+and ``mackey-check`` counts the orbits of H acting on G by conjugation.
+``fixed_points``, ``induce``, ``restrict``, ``product`` and
+``conjugation_gset`` are the reference routes the tests check them
+against; ``product`` of ``conjugation_gset`` and G/H is Res Ind [G/H]
+along the diagonal.
 """
 
 from __future__ import annotations

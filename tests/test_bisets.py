@@ -422,7 +422,7 @@ def test_mackey_identity_on_basis(spec):
                             "prod(C2,prod(C2,C2))", "prod(C3,C3)"])
 def test_res_ind_along_the_diagonal_is_conjugation_times_coset_set(spec):
     # (a, b)Delta(H) -> (a b^-1, bH) carries Res Ind [G/H] onto G_conj x G/H,
-    # the set mackey-check builds
+    # the G-set that mackey-check counts as orbits of H on G
     g = build_group(spec)
     conj = conjugation_gset(g)
     for ci in range(subgroup_lattice(g).class_count):

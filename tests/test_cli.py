@@ -15,7 +15,12 @@ from referencing.jsonschema import DRAFT7
 
 import burnside
 import burnside.cli
+from burnside.algebra import BurnsideElement, multiply, transitive_of_class
 from burnside.cli import main
+from burnside.groups import subgroup_lattice
+from burnside.gsets import conjugation_gset, product
+from burnside.rings import ZZ
+from test_groups import _PERM_GENS, _cycles
 
 SCHEMA_DIR = Path(burnside.cli.__file__).resolve().parent / "schemas"
 # the directory that holds the ``burnside`` package under test
@@ -155,31 +160,74 @@ def test_mackey_check_verifies_the_ladder_above_order_15(capsys, monkeypatch, sp
     validate(payload, "mackey_check.schema.json")
 
 
-def test_mackey_check_caps_entries_before_building_a_gset(capsys, monkeypatch):
-    # C255: 255^2 * (1 + 3 + 5 + 15 + 17 + 51 + 85 + 255) = 28,090,800 entries
+def test_mackey_check_builds_no_gset(capsys, monkeypatch):
+    # C255 and prod(S4,D8) were refused while the left side was the G-set
+    # G_conj x G/H, at 28.1 and 224 million action-table entries
     import burnside.gsets
 
     monkeypatch.setattr(burnside.gsets.GSet, "__init__", _refuse)
-    code, out, err = run_cli(capsys, "mackey-check", "C255")
-    assert (code, out) == (2, "")
-    assert err.startswith("E_RESOURCE: mackey-check on C255 would build 28090800 ")
+    for spec in ("C255", "prod(S4,D8)"):
+        code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
+        assert (code, err) == (0, ""), spec
+        assert json.loads(out)["all_verified"] is True, spec
+
+
+# the bases of the test_bisets check against the diagonal pair, then the
+# ladder above order 15
+_MACKEY_ORACLE_SPECS = ([f"C{n}" for n in range(1, 16)]
+                        + ["S3", "prod(C2,C2)", "D8", "Q8", "D10", "D12", "D14",
+                           "prod(C2,prod(C2,C2))", "prod(C3,C3)", "S4", "D16",
+                           "prod(S3,S3)", "prod(C2,prod(C2,prod(C2,C2)))", "S5"])
+
+
+@pytest.mark.parametrize("spec", _MACKEY_ORACLE_SPECS)
+def test_mackey_check_orbit_count_is_the_conjugation_times_coset_set(
+        capsys, monkeypatch, spec):
+    # with the right side swapped for the G-set G_conj x G/H, every class
+    # still verifies: the orbit count equals that set, class by class
+    def gset_side(gam, x):
+        (ci,) = x.coeffs
+        return BurnsideElement.from_gset(
+            product(conjugation_gset(x.group), transitive_of_class(x.group, ci)), ZZ)
+
+    monkeypatch.setattr(burnside.cli, "multiply", gset_side)
+    code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_verified"] is True
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "D12", "prod(C2,prod(C2,C2))"])
+def test_mackey_check_left_side_does_not_read_the_right(capsys, monkeypatch, spec):
+    # adding [G/G] to gamma * x must fail every class: the left side is
+    # counted on its own, not derived from the right
+    def shifted(a, b):
+        top = subgroup_lattice(a.group).class_count - 1
+        return multiply(a, b).add(BurnsideElement.basis(a.group, ZZ, top))
+
+    monkeypatch.setattr(burnside.cli, "multiply", shifted)
+    code, out, err = run_cli(capsys, "mackey-check", spec)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == f"Mackey identity on {spec}: FAILED on all basis classes"
+    assert lines[1:] and all(line.endswith(": FAILED") for line in lines[1:])
+    code, out, _ = run_cli(capsys, "mackey-check", spec, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["all_verified"] is False
+    assert not any(r["verified"] for r in payload["basis"])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gens=_PERM_GENS)
+def test_mackey_check_verifies_random_permutation_groups(capsys, gens):
+    spec = "perm:" + ";".join(_cycles(p) for p in gens)
+    code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_verified"] is True
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a command built a G-set")
-
-
-@pytest.mark.parametrize("argv", [
-    ("gamma", "S5", "--ring", "Q", "--invert"),
-    ("separable", "functor", "prod(S3,S3)", "--ring", "Q"),
-    ("separable", "functor", "S4", "--ring", "Z/2"),
-])
-def test_gamma_commands_build_no_gset(capsys, monkeypatch, argv):
-    import burnside.gsets
-
-    monkeypatch.setattr(burnside.gsets.GSet, "__init__", _refuse)
-    code, _, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("spec", ["C3", "Q8", "D12", "prod(C2,prod(C2,C2))", "C15"])
@@ -501,11 +549,8 @@ def test_error_codes(capsys):
         (("idempotents", "C2", "--ring", "Z"), "E_RING: |G| = 2 is not a unit in Z"),
         (("separable", "ring", "C2", "--ring", "GF(9)"),
          "E_PARSE: unknown ring spec 'GF(9)' (expected Z, Q or Z/<m>)"),
-        # the bound on G x G is commutant's; mackey-check's counts entries
+        # the bound on G x G is commutant's alone
         (("commutant", "D16", "--ring", "Q"), bound),
-        (("mackey-check", "C255"),
-         "E_RESOURCE: mackey-check on C255 would build 28090800 action-table "
-         "entries, above the cap of 10000000"),
         # nesting deeper than the parser's recursion is a parse error
         (("tom", "prod(C1," * 1200 + "C1" + ")" * 1200),
          "E_PARSE: group spec is nested too deeply"),
@@ -661,6 +706,23 @@ def test_import_leaves_argparse_unloaded():
         capture_output=True, env=env, check=True).stdout
     assert out == b"False\n"
 
+
+@pytest.mark.parametrize("argv", [("tom", "C2"), ("tom", "prod(D8,D8)", "--json"),
+                                  ("--help",)])
+def test_closed_stdout_exits_1_silently(argv):
+    # the reader is gone before anything is written: that is no E_INTERNAL
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "burnside", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
 TEXT_ARGV = (
     "group info S3", "subgroups D8", "tom S3", "idempotents S3 --ring Q",
     "gamma S3 --ring Q --invert", "gamma S3 --ring Z/6 --invert",
@@ -682,6 +744,23 @@ def test_text_output_bytes(capsys):
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == ("d15c749fb6f0da23bd2c7fb5339ef599"
                       "f87b940df410dc54da44a9a470d17ccd")
+
+
+# the gamma queries, then one line of each command kind: no command builds
+# a G-set, so neither the algebra nor mackey-check's left side needs one
+@pytest.mark.parametrize("argv", [
+    ("gamma", "S5", "--ring", "Q", "--invert"),
+    ("separable", "functor", "prod(S3,S3)", "--ring", "Q"),
+    ("separable", "functor", "S4", "--ring", "Z/2"),
+    *(line.split() for line in TEXT_ARGV),
+    ("mackey-check", "S5"),
+])
+def test_gamma_commands_build_no_gset(capsys, monkeypatch, argv):
+    import burnside.gsets
+
+    monkeypatch.setattr(burnside.gsets.GSet, "__init__", _refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv,digest", [
