@@ -19,10 +19,16 @@ and ``unghost`` on the rows and the columns of a tensor.
 the tensor code's included; a value that is not integral over Z, or
 whose denominator is not a unit mod m over Z/m, is refused, never
 truncated.  The primitive idempotents (for invertible group order)
-live here too: each sums Gluck's integer numerators over the subgroups
-that the lattice's containment index lists below H and leaves the
-integers through ``lower``, as every product does.  So does unit
-testing.
+live here too.  Gluck's integer numerators are kept per lattice, in
+``SubgroupLattice.idempotent_numerators``, so each call only lowers
+them into the caller's ring, as every product leaves the integers.  So
+does unit testing.
+
+An element made from outside input is checked once: its keys must be
+class indices of the group's lattice.  Products, inverses, idempotents,
+sums and multiples are built through ``BurnsideElement._built``, since
+their keys come from the lattice itself, and make no lattice lookup to
+check them again.
 
 Over Z, Q and Z/m an element is a unit exactly when all its marks are
 units (Dress's description of the prime ideals of B(G)), so ``invert``
@@ -123,12 +129,14 @@ def ghost(lat, pairs) -> list:
     return v
 
 
-def _ghost(a) -> tuple:
+def _ghost(a, lat=None) -> tuple:
     """The marks of a as integers over one common denominator: (marks, d).
 
-    The coefficients are lifted once and mapped through ``ghost``.
+    The coefficients are lifted once and mapped through ``ghost``; lat is
+    a's lattice, looked up when not given.
     """
-    lat = subgroup_lattice(a.group)
+    if lat is None:
+        lat = subgroup_lattice(a.group)
     ints, d = lift(a.ring, a.coeffs.values())
     return ghost(lat, zip(a.coeffs, ints)), d
 
@@ -165,29 +173,30 @@ class BurnsideElement:
     Zero coefficients are dropped on construction, so equal elements have
     equal coefficient dictionaries.  A class index outside 0..n-1, n the
     number of subgroup classes, or one that is not an int, raises
-    NotContainedError.
+    NotContainedError.  ``BurnsideElement._built`` skips that check, and
+    the lattice lookup it needs, for keys read off the lattice itself.
     """
 
     __slots__ = ("group", "ring", "coeffs")
 
-    def __init__(self, group: Group, ring, coeffs: dict):
+    def __init__(self, group: Group, ring, coeffs: dict, *, _trusted=False):
         self.group = group
         self.ring = ring
-        try:  # at C speed: a float or Fraction key makes the sum one
-            if type(sum(coeffs)) is not int:
-                raise TypeError
-        except TypeError:
-            k = next(k for k in coeffs if not isinstance(k, int))
-            raise NotContainedError(f"subgroup class {k!r} is not an int") from None
-        keys = sorted(coeffs)
-        if keys and (keys[0] < 0 or keys[-1] >= subgroup_lattice(group).class_count):
-            k = keys[0] if keys[0] < 0 else keys[-1]
-            raise NotContainedError(f"no subgroup class {k} in {group.label}")
-        self.coeffs = {k: coeffs[k] for k in keys if not ring.is_zero(coeffs[k])}
+        if not _trusted:
+            _check_class_indices(group, coeffs)
+        self.coeffs = {k: coeffs[k] for k in sorted(coeffs)
+                       if not ring.is_zero(coeffs[k])}
+
+    @classmethod
+    def _built(cls, group, ring, coeffs):
+        """An element whose keys are class indices of group's lattice, as
+        the package reads them off it (products, inverses, idempotents, sums
+        and multiples of elements): zero coefficients are still dropped."""
+        return cls(group, ring, coeffs, _trusted=True)
 
     @classmethod
     def zero(cls, group, ring):
-        return cls(group, ring, {})
+        return cls._built(group, ring, {})
 
     @classmethod
     def basis(cls, group, ring, ci):
@@ -212,13 +221,13 @@ class BurnsideElement:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = self.ring.add(out.get(k, self.ring.zero), v)
-        return BurnsideElement(self.group, self.ring, out)
+        return BurnsideElement._built(self.group, self.ring, out)
 
     def sub(self, other):
         return self.add(other.scale(self.ring.from_int(-1)))
 
     def scale(self, r):
-        return BurnsideElement(
+        return BurnsideElement._built(
             self.group, self.ring,
             {k: self.ring.mul(r, v) for k, v in self.coeffs.items()})
 
@@ -255,25 +264,40 @@ class BurnsideElement:
         return f"BurnsideElement({self.group.label}; {self.ring.spec}; {self.render()})"
 
 
+def _check_class_indices(group: Group, coeffs):
+    """Refuse a key of coeffs that is not a class index of group's lattice."""
+    try:  # at C speed: a float or Fraction key makes the sum one
+        if type(sum(coeffs)) is not int:
+            raise TypeError
+    except TypeError:
+        k = next(k for k in coeffs if not isinstance(k, int))
+        raise NotContainedError(f"subgroup class {k!r} is not an int") from None
+    if coeffs and ((lo := min(coeffs)) < 0
+                   or (hi := max(coeffs)) >= subgroup_lattice(group).class_count):
+        raise NotContainedError(
+            f"no subgroup class {lo if lo < 0 else hi} in {group.label}")
+
+
 def identity_element(g: Group, ring) -> BurnsideElement:
     """[G/G], the multiplicative identity."""
     lat = subgroup_lattice(g)
-    return BurnsideElement.basis(g, ring, lat.class_count - 1)
+    return BurnsideElement._built(g, ring, {lat.class_count - 1: ring.one})
 
 
 def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Bilinear extension of the product of transitive G-sets."""
     a._compat(b)
-    (va, da), (vb, db) = _ghost(a), _ghost(b)
-    x = unghost(subgroup_lattice(a.group), [p * q for p, q in zip(va, vb)])
-    return BurnsideElement(a.group, a.ring,
-                           dict(enumerate(lower(a.ring, x, da * db))))
+    lat = subgroup_lattice(a.group)
+    (va, da), (vb, db) = _ghost(a, lat), _ghost(b, lat)
+    x = unghost(lat, [p * q for p, q in zip(va, vb)])
+    return BurnsideElement._built(a.group, a.ring,
+                                  dict(enumerate(lower(a.ring, x, da * db))))
 
 
 def mult_matrix(a: BurnsideElement):
     """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
     lat = subgroup_lattice(a.group)
-    va, d = _ghost(a)
+    va, d = _ghost(a, lat)
     cols = [unghost(lat, [p * q for p, q in zip(va, row)]) for row in lat.marks]
     return [lower(a.ring, row, d) for row in zip(*cols)]
 
@@ -294,18 +318,18 @@ def idempotent(g: Group, label: str, ring) -> BurnsideElement:
 
     Gluck/Yoshida formula: e_H = |N_G(H)|^-1 * sum over K <= H of
     |K| mu(K, H) [G/K].  Requires |G| to be a unit in the ring.  The
-    integer numerators are summed per class over the subgroups K that
-    the lattice's containment index lists below H, and the nonzero ones
+    lattice keeps the nonzero integer numerators of each class, summed
+    over the subgroups K its containment index lists below H, and they
     leave the integers through one ``lower`` by |N_G(H)|.
     """
     lat = _unit_order_lattice(g, ring)
-    return _idempotent(g, lat, lat.classes[lat.class_index_of_label(label)], ring)
+    return _idempotent(g, lat, lat.class_index_of_label(label), ring)
 
 
 def idempotent_system(g: Group, ring):
     """All primitive idempotents, in class order."""
     lat = _unit_order_lattice(g, ring)
-    return [_idempotent(g, lat, cls, ring) for cls in lat.classes]
+    return [_idempotent(g, lat, ci, ring) for ci in range(lat.class_count)]
 
 
 def _unit_order_lattice(g: Group, ring):
@@ -315,20 +339,17 @@ def _unit_order_lattice(g: Group, ring):
     return subgroup_lattice(g)
 
 
-def _idempotent(g: Group, lat, cls, ring) -> BurnsideElement:
-    """e_H for the class cls of g's lattice lat, with no check on |G|.
+def _idempotent(g: Group, lat, ci, ring) -> BurnsideElement:
+    """e_H for the class ci of g's lattice lat, with no check on |G|.
 
-    The element is built over g, not over ``lat.group``: the lattice
-    cache is keyed by structural equality, so that may be another group
-    object with the same table but a different label and factors.
+    The lattice keeps the integer numerators, so this is one ``lower``
+    by |N_G(H)| into the ring.  The element is built over g, not over
+    ``lat.group``: the lattice cache is keyed by structural equality, so
+    that may be another group object with the same table but a different
+    label and factors.
     """
-    h, num = cls.rep_index, [0] * lat.class_count
-    for k in lat.below[h]:
-        num[lat.class_of[k]] += lat.subgroups[k].order * lat.moebius_by_index(k, h)
-    cis = [i for i, v in enumerate(num) if v]
-    # |N_G(H)| = |G| / |cl(H)|
-    return BurnsideElement(g, ring, dict(zip(cis, lower(
-        ring, [num[i] for i in cis], g.order // len(cls.member_indices)))))
+    cis, nums, norm = lat.idempotent_numerators[ci]
+    return BurnsideElement._built(g, ring, dict(zip(cis, lower(ring, nums, norm))))
 
 
 @dataclass(frozen=True)
@@ -362,7 +383,7 @@ def invert(a: BurnsideElement):
     """
     g, ring = a.group, a.ring
     lat = subgroup_lattice(g)
-    v, d = _ghost(a)
+    v, d = _ghost(a, lat)
     for j, m in enumerate(lower(ring, v, d)):
         if not ring.is_unit(m):
             return NotInvertible(
@@ -371,7 +392,7 @@ def invert(a: BurnsideElement):
     den = g.order * lcm(*v)
     y = unghost(lat, [den * d // m for m in v])
     try:
-        cand = BurnsideElement(g, ring, dict(enumerate(lower(ring, y, den))))
+        cand = BurnsideElement._built(g, ring, dict(enumerate(lower(ring, y, den))))
     except RingMismatchError:
         raise InternalInconsistencyError(
             "the inverse has a denominator that is not a unit") from None

@@ -17,13 +17,14 @@ from types import SimpleNamespace
 
 from . import errors
 from .algebra import (
-    BurnsideElement,
     NotInvertible,
+    ghost,
     idempotent_system,
     invert,
     marks_vector,
     multiply,
     table_of_marks,
+    unghost,
 )
 from .bisets import gamma
 from .groups import build_group, element_classes, subgroup_lattice
@@ -60,9 +61,25 @@ def _indented(obj, pad="\n"):
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def _emit(payload, lines, as_json):
-    # flushed here, so a closed stdout raises inside main's try
-    print(_indented(payload) if as_json else "\n".join(lines), flush=True)
+def _write(text):
+    """Print text to stdout, flushed, so a failed write raises here.
+
+    A failed write closes stdout (the close fails as the write did, but
+    the stream is closed), so the interpreter's last flush does not try
+    again and print "Exception ignored" on stderr.  A reader that closed
+    the pipe is not an error of ours: BrokenPipeError goes up to ``main``.
+    Any other failure, such as a full disk, is E_IO.
+    """
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise errors.OutputError(f"cannot write to stdout: {exc}") from None
 
 
 def _max_order(args) -> int | None:
@@ -204,21 +221,32 @@ def cmd_gamma(g, ring, args):
 # So its class is counted on the points of G: one [G/C_H(y)] per orbit of
 # H acting on G by conjugation, with no G x G group and no G-set built.
 
+def _orbit_count(g, lat, ci):
+    """Res_Delta Ind_Delta [G/H] for H the rep of class ci, as integer
+    coefficients: one [G/C_H(y)] per orbit of H on G by conjugation."""
+    h, seen, counts = lat.class_rep(ci).members, set(), [0] * lat.class_count
+    for y in g.elements():
+        if y not in seen:
+            orbit = [g.conj(x, y) for x in h]
+            seen.update(orbit)
+            counts[lat.class_of[lat.subgroup_index(
+                x for x, c in zip(h, orbit) if c == y)]] += 1
+    return counts
+
+
+def _gamma_times(lat, marks, ci):
+    """gamma * [G/H_ci] as integer coefficients, from gamma's marks: the
+    product's marks are those times row ci of the table."""
+    return unghost(lat, [p * q for p, q in zip(marks, lat.marks[ci])])
+
+
 def cmd_mackey_check(g, ring, args):
-    lat, gam = subgroup_lattice(g), gamma(g, ZZ)
-    results = []
-    for ci in range(lat.class_count):
-        h, seen, counts = lat.class_rep(ci).members, set(), {}
-        for y in g.elements():
-            if y not in seen:
-                orbit = [g.conj(x, y) for x in h]
-                seen.update(orbit)
-                k = lat.class_of[lat.subgroup_index(
-                    x for x, c in zip(h, orbit) if c == y)]
-                counts[k] = counts.get(k, 0) + 1
-        lhs = BurnsideElement(g, ZZ, counts)  # ZZ's values are the ints themselves
-        rhs = multiply(gam, BurnsideElement.basis(g, ZZ, ci))
-        results.append({"label": lat.classes[ci].label, "verified": lhs == rhs})
+    lat = subgroup_lattice(g)
+    # gamma's marks once for every class; ZZ's values are the ints themselves
+    marks = ghost(lat, gamma(g, ZZ).coeffs.items())
+    results = [{"label": lat.classes[ci].label,
+                "verified": _orbit_count(g, lat, ci) == _gamma_times(lat, marks, ci)}
+               for ci in range(lat.class_count)]
     ok = all(r["verified"] for r in results)
     payload = {
         "command": "mackey-check",
@@ -421,19 +449,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         if "-h" in argv or "--help" in argv:
-            print(_help(), flush=True)
+            _write(_help())
             return 0
         args = parse_argv(argv)
         # the group is parsed before the ring, so a bad pair reports the group
         g = build_group(args.spec, max_order=_max_order(args))
         ring = ring_from_spec(args.ring) if args.ring is not None else None
-        _emit(*args.func(g, ring, args), args.json)
+        payload, lines = args.func(g, ring, args)
+        _write(_indented(payload) if args.json else "\n".join(lines))
         return 0
     except BrokenPipeError:
-        # The reader closed stdout, which is not an error of ours.  Point fd 1
-        # at devnull so the interpreter's last flush stays silent (the
-        # "Note on SIGPIPE" in Python's signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout, which is not an error of ours
         return 1
     except errors.BurnsideError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -78,5 +78,11 @@ class NotAnIsomorphismError(BurnsideError):
     """A supplied map is not a bijective homomorphism."""
 
 
+class OutputError(BurnsideError):
+    """The result could not be written to stdout (a full disk, say)."""
+
+    code = "E_IO"
+
+
 class InternalInconsistencyError(BurnsideError):
     """Two routes that must agree by theorem disagreed; indicates a bug."""

@@ -6,7 +6,14 @@ order, identity and table).  A table must hold ints, and so must the
 identity: 1.5, 1.0 or "1" is refused with NotAGroupError by the range
 check that reads every entry, never truncated.  The table is stored as
 given, its rows made tuples, so a table the package builds is not
-converted entry by entry.
+converted entry by entry.  Outside input is checked once, at the
+boundary: ``Group(...)`` checks a table's entries, identity, inverses
+and associativity, and ``Subgroup(...)`` checks closure.  What the
+package builds from checked objects is not checked again: the spec
+builders, ``direct_product`` and ``Subgroup.as_group`` make their groups
+through ``Group._built``, and the lattice's subgroups and the
+centralizers of ``element_classes`` come through ``Subgroup._built``,
+which stores the members and bitset it is given.
 
 The subgroup lattice is the per-group record everything else reads:
 subgroups, conjugacy classes, Moebius values and the table of marks.
@@ -24,7 +31,9 @@ one bitset per element of the subgroups that hold it.  The supergroups
 of K are the AND of those bitsets over K's members.  The subgroups
 below each subgroup, the table of marks (with no G-set built) and the
 Moebius rows mu(K, -), each computed when a K is first asked for, all
-read K's supergroups from there.
+read K's supergroups from there.  The lattice also keeps the integer
+numerators of the primitive idempotents, which no ring enters, so every
+ring after the first reads them without a Moebius row.
 Lattices live in one bounded LRU keyed by structural equality, so
 independently built copies of a group share one record; hits, inserts
 and evictions all happen under the module lock.  Everything is
@@ -65,9 +74,12 @@ class Group:
     on construction.  Associativity is checked on a generating set, which
     is equivalent to the full check: if a(bc) = (ab)c holds for all
     generators a and arbitrary b, c, it propagates to all products.
+    ``Group._built`` skips the range and associativity checks for a table
+    the package made from checked groups or from permutations.
     """
 
-    def __init__(self, mul, identity=0, label="?", factors=None):
+    def __init__(self, mul, identity=0, label="?", factors=None, *,
+                 _trusted=False):
         self.mul_table = tuple(map(tuple, mul))
         self.order = len(self.mul_table)
         self.identity = identity
@@ -77,16 +89,28 @@ class Group:
         if self.order > MAX_GROUP_ORDER:
             raise OrderBoundError(
                 f"group order {self.order} exceeds bound {MAX_GROUP_ORDER}")
-        self._validate_shape()
+        if not _trusted:
+            self._validate_shape()
         self.inv_table = self._build_inverses()
         self.generators = self._find_generators()
-        if not acts_compatibly(self.mul_table, self.generators, self.mul_table):
+        if not (_trusted or acts_compatibly(self.mul_table, self.generators,
+                                            self.mul_table)):
             raise NotAGroupError("multiplication is not associative")
         # factors records how the group was assembled by direct_product;
         # an atomic group is its own single factor.
         self.factors = tuple(factors) if factors is not None else (self,)
         self._hash = hash((self.order, self.identity, self.mul_table))
         self._is_abelian = None
+
+    @classmethod
+    def _built(cls, mul, identity, label, factors=None):
+        """A group whose table the package made: a direct product of checked
+        groups, a subgroup's restriction, or a closure of permutations.
+
+        Its inverses, greedy generators and hash are computed as for any
+        group; the entry range and associativity are not checked again.
+        """
+        return cls(mul, identity, label, factors, _trusted=True)
 
     # -- construction-time checks -----------------------------------------
 
@@ -206,15 +230,24 @@ class Group:
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple."""
 
-    def __init__(self, parent: Group, members):
+    def __init__(self, parent: Group, members, *, _mask=None):
         self.parent = parent
-        self.members = tuple(sorted(set(members)))
-        self._check()
-        self.mask = 0
-        for x in self.members:
-            self.mask |= 1 << x
+        if _mask is None:
+            self.members = tuple(sorted(set(members)))
+            self._check()
+            _mask = sum(1 << x for x in self.members)
+        else:
+            self.members = members
+        self.mask = _mask
         self._as_group = None
         self._generators = None
+
+    @classmethod
+    def _built(cls, parent, members, mask):
+        """A subgroup the package found closed in a checked parent: members
+        is its sorted tuple and mask the bitset of the same members.  Both
+        are stored as given, with no closure check."""
+        return cls(parent, members, _mask=mask)
 
     def _check(self):
         g = self.parent
@@ -257,7 +290,7 @@ class Subgroup:
             pos = {x: i for i, x in enumerate(self.members)}
             table = [[pos[self.parent.mul_table[a][b]] for b in self.members]
                      for a in self.members]
-            self._as_group = Group(
+            self._as_group = Group._built(
                 table,
                 identity=pos[self.parent.identity],
                 label=f"sub{self.order}<{self.parent.label}",
@@ -476,6 +509,28 @@ class SubgroupLattice:
         return tuple(tuple((j, m) for j, m in enumerate(row) if m)
                      for row in self.marks)
 
+    @functools.cached_property
+    def idempotent_numerators(self):
+        """Gluck's integer numerators of the primitive idempotents.
+
+        e_H = |N_G(H)|^-1 * sum over K <= H of |K| mu(K, H) [G/K]
+        (Gluck 1981; Yoshida 1983), so the numerator at class c sums
+        |K| mu(K, H) over the K in c below H.  Entry i, for H the rep of
+        class i, is (the classes c with a nonzero numerator, increasing;
+        their numerators; |N_G(H)| = |G| / |cl(H)|).  No ring enters, so
+        every ring reads the same entry.
+        """
+        out = []
+        for c in self.classes:
+            h, num = c.rep_index, [0] * self.class_count
+            for k in self.below[h]:
+                num[self.class_of[k]] += (self.subgroups[k].order
+                                          * self.moebius_by_index(k, h))
+            cis = tuple(i for i, v in enumerate(num) if v)
+            out.append((cis, tuple(num[i] for i in cis),
+                        self.group.order // len(c.member_indices)))
+        return tuple(out)
+
 
 def acts_compatibly(mul, gens, action) -> bool:
     """Whether action[s*h] is action[s] after action[h] for each s in gens.
@@ -640,9 +695,10 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
                 raise ResourceBoundError(
                     f"more than {DEFAULT_SUBGROUP_CAP} subgroups in {g.label}")
 
-    subs = sorted((tuple(x for x in g.elements() if m >> x & 1)
-                   for m in orbit_of), key=lambda s: (len(s), s))
-    subgroups = tuple(Subgroup(g, s) for s in subs)
+    # each mask was built closed by _join or conjugated from one that was
+    subs = sorted(((tuple(x for x in g.elements() if m >> x & 1), m)
+                   for m in orbit_of), key=lambda sm: (len(sm[0]), sm[0]))
+    subgroups = tuple(Subgroup._built(g, s, m) for s, m in subs)
 
     # in (order, members) order a class's least member, its representative,
     # is met first, so numbering classes as met sorts them by that key too
@@ -723,7 +779,8 @@ def element_classes(g: Group):
     and the y with y*x*y^-1 = x are its centralizer.  Equal centralizers
     share one Subgroup, so an abelian group builds one.
     """
-    centralizer = functools.cache(lambda members: Subgroup(g, members))
+    centralizer = functools.cache(lambda members: Subgroup._built(
+        g, members, sum(1 << y for y in members)))
     seen, out = set(), []
     for x in g.elements():
         if x in seen:
@@ -780,7 +837,7 @@ def direct_product(g: Group, h: Group) -> Group:
                 base = ga * nh
                 for b2 in h.elements():
                     row[a2 * nh + b2] = base + hrow[b2]
-    return Group(
+    return Group._built(
         table,
         identity=g.identity * nh + h.identity,
         label=f"prod({g.label},{h.label})",
@@ -820,8 +877,8 @@ def diagonal_subgroup(g: Group, product: Group | None = None) -> Subgroup:
 def _cyclic(n: int) -> Group:
     if n < 1:
         raise ParseError("cyclic order must be >= 1")
-    return Group([[(a + b) % n for b in range(n)] for a in range(n)],
-                 identity=0, label=f"C{n}")
+    return Group._built([[(a + b) % n for b in range(n)] for a in range(n)],
+                        identity=0, label=f"C{n}")
 
 
 def _dihedral(n: int) -> Group:
@@ -835,8 +892,8 @@ def _dihedral(n: int) -> Group:
         i2, j2 = b % m, b // m
         i = (i1 + (i2 if j1 == 0 else -i2)) % m
         return i + m * ((j1 + j2) % 2)
-    return Group([[mul(a, b) for b in range(n)] for a in range(n)],
-                 identity=0, label=f"D{n}")
+    return Group._built([[mul(a, b) for b in range(n)] for a in range(n)],
+                        identity=0, label=f"D{n}")
 
 
 def _symmetric(n: int) -> Group:
@@ -847,7 +904,7 @@ def _symmetric(n: int) -> Group:
     # (p*q)(x) = p(q(x))
     table = [[pos[tuple(p[q[x]] for x in range(n))] for q in perms]
              for p in perms]
-    return Group(table, identity=pos[tuple(range(n))], label=f"S{n}")
+    return Group._built(table, identity=pos[tuple(range(n))], label=f"S{n}")
 
 
 _Q8_SYMBOL_MUL = {
@@ -867,8 +924,8 @@ def _quaternion() -> Group:
         s, x = _Q8_SYMBOL_MUL[(xa, xb)]
         s *= sa * sb
         return 2 * x + (0 if s == 1 else 1)
-    return Group([[mul(a, b) for b in range(8)] for a in range(8)],
-                 identity=0, label="Q8")
+    return Group._built([[mul(a, b) for b in range(8)] for a in range(8)],
+                        identity=0, label="Q8")
 
 
 def _parse_cycles(text: str):
@@ -942,7 +999,7 @@ def _perm_group(gen_texts):
              for p in elems]
 
     canon_gens = ";".join(_render_cycles(c) for c in gen_cycles)
-    return Group(table, identity=index[ident], label=f"perm:{canon_gens}")
+    return Group._built(table, identity=index[ident], label=f"perm:{canon_gens}")
 
 
 def _render_cycles(cycles):

@@ -344,6 +344,49 @@ def test_idempotent_system_matches_full_scan_oracle(ring):
     assert checked >= 12
 
 
+def test_warm_idempotents_in_another_ring_build_no_moebius_row(monkeypatch):
+    # the numerators live on the lattice, so a second ring only lowers them:
+    # it neither builds a Moebius row nor reads a cached one
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the Moebius function")
+
+    for spec, first, other in [("S4", QQ, Zmod(5)), ("prod(S3,S3)", Zmod(5), QQ),
+                               ("prod(C2,prod(C2,prod(C2,C2)))", QQ, Zmod(3))]:
+        g = build_group(spec)
+        idempotent_system(g, first)
+        for name in ("_moebius_row", "moebius_by_index"):
+            monkeypatch.setattr(SubgroupLattice, name, refuse)
+        idems = idempotent_system(g, other)
+        n = len(idems)
+        for i, e in enumerate(idems):
+            assert marks_vector(e) == [other.one if j == i else other.zero
+                                       for j in range(n)]
+        label = subgroup_lattice(g).classes[-1].label
+        assert idempotent(g, label, other) == idems[-1]
+        monkeypatch.undo()
+
+
+def test_built_elements_skip_the_class_index_check(monkeypatch):
+    # products, inverses, idempotents, sums and multiples make their keys
+    # from the lattice, so none of them checks them again
+    import burnside.algebra
+
+    checked = []
+    monkeypatch.setattr(burnside.algebra, "_check_class_indices",
+                        lambda *args: checked.append(args))
+    g = build_group("S4")
+    x = BurnsideElement(g, QQ, {0: Fraction(1, 2), 3: QQ.one})
+    assert len(checked) == 1
+    idems = idempotent_system(g, QQ)
+    unit = BurnsideElement.zero(g, QQ)
+    for i, e in enumerate(idems):
+        unit = unit.add(e.scale(QQ.from_int(i + 2)))
+    assert not isinstance(invert(unit), NotInvertible)
+    multiply(x, unit)
+    assert identity_element(g, ZZ).coeffs == {len(idems) - 1: 1}
+    assert len(checked) == 1
+
+
 def test_idempotents_read_the_containment_index_not_leq(monkeypatch):
     # the sum over K <= H walks lat.below[H]; no pair of subgroups is tested
     def refuse(*args, **kwargs):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -15,9 +16,8 @@ from referencing.jsonschema import DRAFT7
 
 import burnside
 import burnside.cli
-from burnside.algebra import BurnsideElement, multiply, transitive_of_class
+from burnside.algebra import BurnsideElement, transitive_of_class
 from burnside.cli import main
-from burnside.groups import subgroup_lattice
 from burnside.gsets import conjugation_gset, product
 from burnside.rings import ZZ
 from test_groups import _PERM_GENS, _cycles
@@ -185,12 +185,12 @@ def test_mackey_check_orbit_count_is_the_conjugation_times_coset_set(
         capsys, monkeypatch, spec):
     # with the right side swapped for the G-set G_conj x G/H, every class
     # still verifies: the orbit count equals that set, class by class
-    def gset_side(gam, x):
-        (ci,) = x.coeffs
-        return BurnsideElement.from_gset(
-            product(conjugation_gset(x.group), transitive_of_class(x.group, ci)), ZZ)
+    def gset_side(lat, marks, ci):
+        x = BurnsideElement.from_gset(
+            product(conjugation_gset(lat.group), transitive_of_class(lat.group, ci)), ZZ)
+        return [x.coeffs.get(k, 0) for k in range(lat.class_count)]
 
-    monkeypatch.setattr(burnside.cli, "multiply", gset_side)
+    monkeypatch.setattr(burnside.cli, "_gamma_times", gset_side)
     code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["all_verified"] is True
@@ -200,11 +200,14 @@ def test_mackey_check_orbit_count_is_the_conjugation_times_coset_set(
 def test_mackey_check_left_side_does_not_read_the_right(capsys, monkeypatch, spec):
     # adding [G/G] to gamma * x must fail every class: the left side is
     # counted on its own, not derived from the right
-    def shifted(a, b):
-        top = subgroup_lattice(a.group).class_count - 1
-        return multiply(a, b).add(BurnsideElement.basis(a.group, ZZ, top))
+    gamma_times = burnside.cli._gamma_times
 
-    monkeypatch.setattr(burnside.cli, "multiply", shifted)
+    def shifted(lat, marks, ci):
+        x = gamma_times(lat, marks, ci)
+        x[-1] += 1
+        return x
+
+    monkeypatch.setattr(burnside.cli, "_gamma_times", shifted)
     code, out, err = run_cli(capsys, "mackey-check", spec)
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -722,6 +725,67 @@ def test_closed_stdout_exits_1_silently(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+_FULL_DISK = """
+import errno, io, sys
+from burnside.cli import main
+
+class Full(io.RawIOBase):  # a device with no room left
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(Full()), encoding="utf-8")
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [("tom", "C2"), ("tom", "prod(D8,D8)", "--json"),
+                                  ("--help",)])
+def test_failed_stdout_write_is_one_e_io_line(argv):
+    # no E_INTERNAL, and no "Exception ignored" when the interpreter exits
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FULL_DISK, *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"E_IO: cannot write to stdout: [Errno "
+                                    f"{errno.ENOSPC}] No space left on device\n")
+
+
+def test_tom_of_a_product_checks_nothing_the_package_built(capsys, monkeypatch):
+    # the spec builders, direct_product and the lattice build through
+    # _built, so the checks meant for outside input never run
+    import burnside.groups
+    from burnside.groups import Group, Subgroup, build_group
+
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Subgroup, "_check", counted("_check", Subgroup._check))
+    monkeypatch.setattr(Group, "_validate_shape",
+                        counted("_validate_shape", Group._validate_shape))
+    acts = burnside.groups.acts_compatibly
+    for mod in [m for k, m in sys.modules.items() if k.startswith("burnside")]:
+        if getattr(mod, "acts_compatibly", None) is acts:
+            monkeypatch.setattr(mod, "acts_compatibly", counted("acts", acts))
+    for argv in (("tom", "prod(D8,D8)"), ("subgroups", "prod(S3,S3)"),
+                 ("group", "info", "prod(D8,C3)"), ("mackey-check", "D12")):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err, calls) == (0, "", []), argv
+    # the counters are live: outside input is still checked
+    Subgroup(Group(build_group("S3").mul_table), [0])
+    assert sorted(calls) == ["_check", "_validate_shape", "acts"]
+
 
 TEXT_ARGV = (
     "group info S3", "subgroups D8", "tom S3", "idempotents S3 --ring Q",

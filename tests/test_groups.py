@@ -664,3 +664,52 @@ def test_structural_equality_shares_caches():
     b = build_group("S3")
     assert a == b and hash(a) == hash(b)
     assert subgroup_lattice(a) is subgroup_lattice(b)
+
+
+def _perm_spec(gens):
+    return "perm:" + ";".join(_cycles(p) for p in gens)
+
+
+# perm: groups on up to 5 points, and products of one on up to 4 points
+# with a small named group (order at most 72)
+_BUILT_SPECS = st.one_of(
+    _PERM_GENS.map(_perm_spec),
+    st.tuples(st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.permutations(range(1, n + 1)).filter(lambda p: p != sorted(p)),
+        min_size=1, max_size=2)).map(_perm_spec),
+        st.sampled_from(["C1", "C2", "C3"]), st.booleans()).map(
+        lambda t: f"prod({t[0]},{t[1]})" if t[2] else f"prod({t[1]},{t[0]})"))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(spec=_BUILT_SPECS)
+def test_built_objects_equal_the_checked_ones(spec):
+    from burnside.algebra import BurnsideElement, idempotent_system, multiply
+    from burnside.rings import QQ, ZZ, Zmod
+
+    g = build_group(spec)  # every spec builder and direct_product use _built
+    checked = Group(g.mul_table, identity=g.identity, label=g.label)
+    assert checked == g and hash(checked) == hash(g)
+    assert (checked.inv_table, checked.generators) == (g.inv_table, g.generators)
+    lat = subgroup_lattice(g)
+    centralizers = [cz for _, _, cz in element_classes(g)]
+    for s in (*lat.subgroups, *centralizers):
+        c = Subgroup(g, reversed(s.members))
+        assert (c, c.members, c.mask) == (s, s.members, s.mask)
+    for ci in range(lat.class_count):
+        sub = lat.class_rep(ci).as_group()
+        c = Group(sub.mul_table, identity=sub.identity, label=sub.label)
+        assert (c, c.inv_table, c.generators) == (sub, sub.inv_table, sub.generators)
+    n = lat.class_count
+    # keys out of order and zero coefficients, as sums and products give them
+    for ring in (ZZ, Zmod(6)):
+        coeffs = {k: ring.from_int(k % 3) for k in reversed(range(n))}
+        built, public = (BurnsideElement._built(g, ring, coeffs),
+                         BurnsideElement(g, ring, coeffs))
+        assert list(built.coeffs.items()) == list(public.coeffs.items())
+        x = multiply(built, public.add(BurnsideElement.basis(g, ring, 0)))
+        assert list(x.coeffs.items()) == list(
+            BurnsideElement(g, ring, dict(x.coeffs)).coeffs.items())
+    for e in idempotent_system(g, QQ):
+        assert list(e.coeffs.items()) == list(
+            BurnsideElement(g, QQ, dict(reversed(e.coeffs.items()))).coeffs.items())
