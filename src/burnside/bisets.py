@@ -314,7 +314,7 @@ def permute_factors_gset(x: GSet, perm) -> GSet:
     """The same points, acted through the factor-permutation isomorphism."""
     p, mapping = permutation_of_factors(x.group, perm)
     action = [x.action[mapping[w]] for w in p.elements()]
-    return GSet(p, action, validate=False)
+    return GSet._built(p, action)
 
 
 def permute_factors_element(a: BurnsideElement, perm) -> BurnsideElement:
@@ -381,4 +381,4 @@ def diagonal_restrict(a: BurnsideElement) -> BurnsideElement:
     """
     g = _diagonal_of(a.group)
     rows = range(0, g.order * g.order, g.order + 1)
-    return _extend(a, g, lambda x: GSet(g, [x.action[r] for r in rows], validate=False))
+    return _extend(a, g, lambda x: GSet._built(g, [x.action[r] for r in rows]))

@@ -291,16 +291,16 @@ def cmd_separable(g, ring, args):
 
 def cmd_commutant(g, ring, args):
     result = commutant_basis(g, ring)
-    gg_lat = subgroup_lattice(result.solutions[0].group) if result.solutions else None
+    # the trivial subgroup is a twisted diagonal, so a solution always exists
+    gg_lat = subgroup_lattice(result.solutions[0].group)
     payload = {
         "command": "commutant",
         "group": g.label,
         "ring": ring.spec,
         "solutions": [s.to_json_dict() for s in result.solutions],
         "matches_diagonal_span": result.matches_diagonal_span,
-        "diagonal_labels": (
-            [gg_lat.classes[i].label for i in result.diagonal_class_indices]
-            if gg_lat is not None else []),
+        "diagonal_labels": [gg_lat.classes[i].label
+                            for i in result.diagonal_class_indices],
     }
     if result.dimension is not None:
         payload["dimension"] = result.dimension

@@ -6,9 +6,11 @@ point index (1.5, 1.0 or "1" is refused with NotAGroupError, never
 truncated), that the identity fixes every point and that the action is
 compatible with multiplication; the compatibility check runs over a
 generating set of the group, which propagates to all elements.  The
-sets built here as actions by construction (``transitive``, ``product``,
-``disjoint_union``, ``induce``, ``restrict`` and ``rehomed``) skip that
-check, as does Mackey's diagonal restriction in ``bisets``.
+public constructor always checks.  The sets built here as actions by
+construction (``transitive``, ``product``, ``disjoint_union``,
+``induce``, ``restrict`` and ``rehomed``) come through ``GSet._built``,
+which skips that check, as do Mackey's diagonal restriction and the
+factor permutation in ``bisets``.
 
 Orbits, stabilizers, products, inductions and restrictions are all
 explicit set computations, so they stay exact over any coefficient ring
@@ -42,14 +44,21 @@ from .groups import (
 class GSet:
     """A finite G-set given by a dense action table."""
 
-    def __init__(self, group: Group, action, validate=True):
+    def __init__(self, group: Group, action, *, _trusted=False):
         self.group = group
         self.action = tuple(map(tuple, action))
         if len(self.action) != group.order:
             raise NotAGroupError("action table needs one row per group element")
         self.size = len(self.action[group.identity])
-        if validate:
+        if not _trusted:
             self._validate()
+
+    @classmethod
+    def _built(cls, group, action):
+        """A G-set whose table the package made as an action: a coset
+        action, a product, a union, an induction, a restriction or a
+        relabelling of a checked G-set.  The action check is skipped."""
+        return cls(group, action, _trusted=True)
 
     def _validate(self):
         n = self.size
@@ -74,7 +83,7 @@ class GSet:
         if new_group.mul_table != self.group.mul_table or \
                 new_group.identity != self.group.identity:
             raise GroupMismatchError("groups have different multiplication tables")
-        return GSet(new_group, self.action, validate=False)
+        return GSet._built(new_group, self.action)
 
     def __repr__(self):
         return f"GSet({self.group.label}, {self.size} points)"
@@ -94,7 +103,7 @@ def transitive(g: Group, h: Subgroup) -> GSet:
         for m in h.members:
             point_of[g.mul_table[x][m]] = p
     action = [[point_of[g.mul_table[a][r]] for r in reps] for a in g.elements()]
-    return GSet(g, action, validate=False)
+    return GSet._built(g, action)
 
 
 def regular(g: Group) -> GSet:
@@ -126,7 +135,7 @@ def product(x: GSet, y: GSet) -> GSet:
     ny = y.size
     action = [[b + c for b in map(ny.__mul__, xa) for c in ya]
               for xa, ya in zip(x.action, y.action)]
-    return GSet(x.group, action, validate=False)
+    return GSet._built(x.group, action)
 
 
 def disjoint_union(x: GSet, y: GSet) -> GSet:
@@ -134,7 +143,7 @@ def disjoint_union(x: GSet, y: GSet) -> GSet:
         raise GroupMismatchError("disjoint union needs G-sets over the same group")
     off = x.size
     action = [list(xa) + [off + q for q in ya] for xa, ya in zip(x.action, y.action)]
-    return GSet(x.group, action, validate=False)
+    return GSet._built(x.group, action)
 
 
 def orbits(x: GSet):
@@ -217,7 +226,7 @@ def induce(x: GSet, h: Subgroup, k: Group) -> GSet:
         k.order, nx, glue, [(row, range(nx)) for row in k.mul_table])
     if len(reps) != (k.order // h.order) * nx:
         raise NotAGroupError("induction produced an unexpected point count")
-    return GSet(k, action, validate=False)
+    return GSet._built(k, action)
 
 
 def induce_along(x: GSet, images, k: Group) -> GSet:
@@ -246,7 +255,7 @@ def restrict(x: GSet, h: Subgroup) -> GSet:
     """Restriction along h <= group of x; the point set is unchanged."""
     if h.parent != x.group:
         raise NotContainedError("subgroup belongs to a different group")
-    return GSet(h.as_group(), [x.action[m] for m in h.members], validate=False)
+    return GSet._built(h.as_group(), [x.action[m] for m in h.members])
 
 
 def iso_equal(x: GSet, y: GSet) -> bool:

@@ -38,6 +38,11 @@ Commutative Rings, 1971).
 The commutant computation pins down which elements over G x G commute
 with the identity biset under the two one-sided diagonal products; the
 solutions are exactly the span of the diagonal classes [GG/Delta(L)].
+The two products of a basis class (G x G)/K are the inductions to G^3
+along (a, b) -> (a, a, b) and (c, d) -> (d, c, d).  Their stabilizers
+are conjugate exactly when K is a twisted diagonal {(a, w a w^-1)}, and
+never conjugate to those of another class, so each class is decided on
+its own members, with no G^3 built and no conjugacy search.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ from .errors import (
 from .groups import (
     Group,
     centralizer_of_subgroup,
-    element_classes,
     squared,
     subgroup_lattice,
 )
@@ -385,67 +389,10 @@ class CommutantResult:
     dimension: int | None
 
 
-def _embed_delta_g(g: Group):
-    """Images in G^3 of the map (a, b) -> (a, a, b) on G x G."""
-    n = g.order
-    return [a * n * n + a * n + b for a in g.elements() for b in g.elements()]
-
-
-def _embed_d13(g: Group):
-    """Images in G^3 of the map (c, d) -> (d, c, d) on G x G.
-
-    This is the identification under which the right one-sided diagonal
-    product of a GG-set with the identity biset becomes an induction.
-    """
-    n = g.order
-    return [d * n * n + c * n + d for c in g.elements() for d in g.elements()]
-
-
-def _triples(g: Group, images, members):
-    """The image of a subgroup of G x G in G^3 as a frozenset of triples."""
-    n = g.order
-    out = set()
-    for m in members:
-        a, bc = divmod(images[m], n * n)
-        out.add((a,) + divmod(bc, n))
-    return frozenset(out)
-
-
-def _inner_automorphisms(g: Group):
-    """One conjugation permutation of G per inner automorphism.
-
-    Conjugation by x depends on x only modulo the centre, so there are
-    |G : Z(G)| of them, and an abelian G has the identity alone.
-    """
-    return list(dict.fromkeys(tuple(g.conj(x, a) for a in g.elements())
-                              for x in g.elements()))
-
-
-def _componentwise_conjugate(inner, s, t) -> bool:
-    """Whether (x, y, z) s (x, y, z)^-1 = t for some x, y, z in G.
-
-    s and t are subgroups of G^3 as sets of triples, and inner lists the
-    conjugation permutations of G, one per inner automorphism.  The
-    search fixes x, then y, then z, and drops x (or x and y) as soon as
-    the projection of the conjugate to coordinate 1 (or 1 and 2) differs
-    from that of t.
-    """
-    if s == t:
-        return True
-    s1 = {a for a, _, _ in s}
-    s12 = {(a, b) for a, b, _ in s}
-    t1 = {a for a, _, _ in t}
-    t12 = {(a, b) for a, b, _ in t}
-    for px in inner:
-        if {px[a] for a in s1} != t1:
-            continue
-        for py in inner:
-            if {(px[a], py[b]) for a, b in s12} != t12:
-                continue
-            for pz in inner:
-                if {(px[a], py[b], pz[c]) for a, b, c in s} == t:
-                    return True
-    return False
+def _twisted_diagonal(g: Group, members) -> bool:
+    """Whether K = {(a, w a w^-1)} for some w in G; members are K in G x G."""
+    pairs = [divmod(m, g.order) for m in members]
+    return any(all(g.conj(w, a) == b for a, b in pairs) for w in g.elements())
 
 
 def _stabilizer_clusters(g: Group, gg: Group):
@@ -454,34 +401,23 @@ def _stabilizer_clusters(g: Group, gg: Group):
     Entries 2*ci and 2*ci + 1 belong to the two inductions of basis class
     ci of G x G.  Induction along an injective psi takes (G x G)/K to
     G^3/psi(K) (Bouc, Biset Functors for Finite Groups, 2010), so the
-    stabilizers are psi(K) up to conjugacy, and conjugacy in G^3 is
-    conjugacy in each coordinate.  The images are bucketed by their
-    triples of element conjugacy classes, which conjugation keeps and
-    which, for an abelian G, are the triples themselves.  gg is G x G.
+    stabilizers are psi1(K) = {(a, a, b)} and psi2(K) = {(d, c, d)} over
+    (a, b) and (c, d) in K, up to conjugacy.  If (x, y, z) conjugates
+    psi1(K) to a subgroup of the same form, x^-1 y centralizes the first
+    projection of K and (x, z) conjugates K; so psi1(K) and psi1(K') are
+    conjugate only when K and K' are, and the same holds for psi2.  A
+    conjugate of psi1(K) has the form (d, c, d) only when b = w a w^-1
+    on all of K, with w = z^-1 x; for such a twisted diagonal K,
+    conjugation by (w, 1, 1) takes psi1(K) to psi2(K).  So a class gets
+    one cluster if it is a twisted diagonal and two otherwise, and no
+    two classes share one.  gg is G x G.
     """
     lat_gg = subgroup_lattice(gg)
-    cid = [0] * g.order  # element -> index of its conjugacy class
-    for k, (_, ccl, _) in enumerate(element_classes(g)):
-        for a in ccl:
-            cid[a] = k
-    inner = _inner_automorphisms(g)
-    psis = (_embed_delta_g(g), _embed_d13(g))
-    buckets = {}  # conjugacy invariant -> [(cluster, subgroup)]
     cls_of = []
-    n_clusters = 0
     for ci in range(lat_gg.class_count):
-        members = lat_gg.class_rep(ci).members
-        for psi in psis:
-            s = _triples(g, psi, members)
-            key = tuple(sorted((cid[a], cid[b], cid[c]) for a, b, c in s))
-            bucket = buckets.setdefault(key, [])
-            found = next((k for k, r in bucket
-                          if _componentwise_conjugate(inner, s, r)), None)
-            if found is None:
-                found = n_clusters
-                n_clusters += 1
-                bucket.append((found, s))
-            cls_of.append(found)
+        new = cls_of[-1] + 1 if cls_of else 0  # the next unused cluster
+        twisted = _twisted_diagonal(g, lat_gg.class_rep(ci).members)
+        cls_of += [new, new] if twisted else [new, new + 1]
     return cls_of
 
 
@@ -492,11 +428,13 @@ def commutant_basis(g: Group, ring) -> CommutantResult:
     condition reads Ind along {(a,a,b)} equals Ind along {(a,b,a)} inside
     G^3.  Both inductions of a basis class (G x G)/K are transitive, with
     stabilizers conjugate to the images psi1(K) and psi2(K), so the
-    constraint matrix only needs the conjugacy classes of these images,
-    which are found coordinate by coordinate with no G^3 or G-set built.
-    The solution set is compared against the span of the diagonal
-    classes [GG/Delta(L)].  Only |G x G| <= MAX_GROUP_ORDER bounds the
-    base group; ``squared`` raises ResourceBoundError beyond it.
+    constraint matrix only needs the conjugacy classes of these images.
+    They are conjugate to each other exactly when K is a twisted diagonal
+    {(a, w a w^-1)}, and to no image of another class, so they are read
+    off K with no G^3 or G-set built.  The solution set is compared
+    against the span of the diagonal classes [GG/Delta(L)].  Only
+    |G x G| <= MAX_GROUP_ORDER bounds the base group; ``squared`` raises
+    ResourceBoundError beyond it.
     """
     gg = squared(g)
     return _commutant_from_clusters(g, gg, ring, _stabilizer_clusters(g, gg))

@@ -27,11 +27,7 @@ from burnside.groups import (
 )
 from burnside.gsets import induce_along, orbits, stabilizer
 from burnside.rings import ZZ, NoSolution, Solution
-from burnside.separability import (
-    TensorElement,
-    _embed_d13,
-    _embed_delta_g,
-)
+from burnside.separability import TensorElement
 
 
 def assoc_holds_everywhere(g):
@@ -577,6 +573,22 @@ def fraction_verify_casimir(u: TensorElement) -> bool:
 # induced into a concrete G^3-set along both embeddings, and the
 # stabilizers of a point are clustered by conjugacy inside the group G^3.
 # ---------------------------------------------------------------------------
+
+def _embed_delta_g(g: Group):
+    """Images in G^3 of the map (a, b) -> (a, a, b) on G x G."""
+    n = g.order
+    return [a * n * n + a * n + b for a in g.elements() for b in g.elements()]
+
+
+def _embed_d13(g: Group):
+    """Images in G^3 of the map (c, d) -> (d, c, d) on G x G.
+
+    This is the identification under which the right one-sided diagonal
+    product of a GG-set with the identity biset becomes an induction.
+    """
+    n = g.order
+    return [d * n * n + c * n + d for c in g.elements() for d in g.elements()]
+
 
 def induced_stabilizer_clusters(g: Group):
     """Conjugacy class in G^3 of each induced stabilizer, in first-seen order.

@@ -39,8 +39,6 @@ from burnside.rings import (
     solve_linear,
 )
 from burnside.separability import (
-    _embed_d13,
-    _embed_delta_g,
     commutant_basis,
     derivation_space,
     functor_separability,
@@ -48,7 +46,12 @@ from burnside.separability import (
     verify_casimir,
 )
 
-from helpers import enumerate_modular_solutions, span_closure_mod
+from helpers import (
+    _embed_d13,
+    _embed_delta_g,
+    enumerate_modular_solutions,
+    span_closure_mod,
+)
 
 IDEMPOTENT_GROUPS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8"]
 SEPARABILITY_GROUPS = ["C2", "C3", "S3"]

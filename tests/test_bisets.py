@@ -457,7 +457,7 @@ def test_diagonal_product_with_unit():
 def test_diagonal_merge_matches_one_sided_inductions():
     # u x^G1 m and m x^G2 u agree with inductions along (a,a,b) and (d,c,d)
     from burnside.gsets import induce_along
-    from burnside.separability import _embed_d13, _embed_delta_g
+    from helpers import _embed_d13, _embed_delta_g
 
     g = build_group("C2")
     gg = squared(g)

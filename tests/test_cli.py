@@ -374,6 +374,30 @@ def test_commutant_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the 28 groups of order at most 15, A4 and Dic3 as permutation groups
+ORDER_15_BASES = [
+    "C1", "C2", "C3", "C4", "prod(C2,C2)", "C5", "C6", "S3", "C7", "C8",
+    "prod(C2,C4)", "prod(C2,prod(C2,C2))", "D8", "Q8", "C9", "prod(C3,C3)",
+    "C10", "D10", "C11", "C12", "prod(C2,C6)", "D12",
+    "perm:(1 2 3);(1 2)(3 4)", "perm:(1 2 3);(2 3)(4 5 6 7)",
+    "C13", "C14", "D14", "C15"]
+
+
+def test_commutant_json_bytes_on_every_base_to_order_15(capsys):
+    # one sha256 over the outputs, ring by ring and base by base, pinned
+    # from the conjugacy search in G^3 that clustered the stabilizers
+    # before they were read off the twisted diagonals
+    h = hashlib.sha256()
+    for ring in ("Q", "Z", "Z/2", "Z/6"):
+        for spec in ORDER_15_BASES:
+            code, out, _ = run_cli(capsys, "commutant", spec, "--ring", ring,
+                                   "--json")
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == \
+        "35401f23e5b6a11d36fb78592824016a12351f98df9df4cca331e362c0e5813f"
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("derivations", "S4", "--ring", "Q"),
      "41b18b22de651d2cbdc2381bd0e1b9afdf0f1e0e73dc08024931063f5f86d5d9"),

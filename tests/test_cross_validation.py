@@ -25,9 +25,8 @@ from burnside.gsets import (
     transitive,
 )
 from burnside.rings import QQ, Matrix, Solution, solve_linear
-from burnside.separability import _embed_d13, _embed_delta_g
 
-from helpers import bareiss_det
+from helpers import _embed_d13, _embed_delta_g, bareiss_det
 
 GROUPS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8", "Q8"]
 

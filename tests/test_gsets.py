@@ -95,6 +95,12 @@ def test_action_table_validation():
         GSet(c2, [[1, 0], [0, 1]])  # identity must fix every point
 
 
+def test_public_constructor_has_no_switch_that_skips_the_check():
+    # only GSet._built, for tables the package made, skips the action check
+    with pytest.raises(TypeError, match="validate"):
+        GSet(build_group("C2"), [[0, 1], [1, 1]], validate=False)
+
+
 def test_built_actions_skip_validation_and_would_pass_it(monkeypatch):
     from burnside.groups import diagonal_subgroup, squared
 
@@ -116,7 +122,7 @@ def test_built_actions_skip_validation_and_would_pass_it(monkeypatch):
     assert not checked
     monkeypatch.undo()
     for x in built:
-        GSet(x.group, x.action, validate=True)
+        GSet(x.group, x.action)
 
 
 def test_fixed_points():

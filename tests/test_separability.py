@@ -37,13 +37,9 @@ import burnside.gsets
 import burnside.separability
 from burnside.separability import (
     TensorElement,
-    _embed_d13,
     _commutant_from_clusters,
-    _componentwise_conjugate,
-    _embed_delta_g,
-    _inner_automorphisms,
     _stabilizer_clusters,
-    _triples,
+    _twisted_diagonal,
     casimir_from_idempotents,
     casimir_linear_system,
     commutant_basis,
@@ -61,6 +57,8 @@ from burnside.separability import (
 from burnside.bisets import product_of
 
 from helpers import (
+    _embed_d13,
+    _embed_delta_g,
     fraction_tensor_act_left,
     fraction_tensor_act_right,
     fraction_tensor_mu,
@@ -354,54 +352,96 @@ def test_commutant_matches_explicit_induction(spec):
 
 
 @pytest.mark.parametrize("spec,digest", [
-    ("D8", "96c68fec324ecb64dd82c13f0ba6fc835e6a0ca1f707a6d4a1f59e7b220b550f"),
-    ("Q8", "ed14f972251f61390cfd1462be4eebd9d86938729403f6ba4d114ba5c0ccc5be"),
-    ("D12", "01744f2311ca0ecde4abdc4819b65196d1603a949f05012c8a6842d104054f58"),
+    ("C1", "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1"),
+    ("C2", "5554f8852706be86d78da1f88e02412d8e6da5c01b27ff6f92bf7221cd0b437d"),
+    ("C3", "a9ba54613f5c907506fea992b7e0e6825c8f1fad4e52f7f35541eb557df722ab"),
+    ("C4", "d83ea9ec77694edd64dcbdb90028631d920b7ed9e295b5b282cf0b7dc2daf829"),
+    ("prod(C2,C2)",
+     "e365043463b9090ad709f3bcb1ec8609502c8e181a7dbea6606c094a9a5ae2ec"),
+    ("C5", "a5730ba5ab0a5687191af40d3cb66d05a24086f149aa4df42dfb1733cb2f597a"),
+    ("C6", "5f6699e6167acf185676e194c89e06498abb339d39864ae2faa14591ba29f163"),
+    ("S3", "1acbbb49a986165cffea2cf82ef03798b1f5370ff09ef82ece231b960d20a599"),
+    ("C7", "8a194c6450d3c8c82f21f2c986cafed267bb653f5f266a4796452bbcf342992c"),
+    ("C8", "1669097a35df0fc619579ebc6f8ab1877158b0c0f776315aac1bbccacacaa950"),
+    ("prod(C2,C4)",
+     "dc0f3aac230fbb909d3575edb3ee2cc7527619742ebd8521f0e6d297d42bc505"),
     ("prod(C2,prod(C2,C2))",
      "45de7e722569ac71459814ea7da99fd134cc3969cfe47cfabb5e18cc6b0b2597"),
+    ("D8", "96c68fec324ecb64dd82c13f0ba6fc835e6a0ca1f707a6d4a1f59e7b220b550f"),
+    ("Q8", "ed14f972251f61390cfd1462be4eebd9d86938729403f6ba4d114ba5c0ccc5be"),
+    ("C9", "01445c763c4450f2c3a915dfcadb51d24987dacedb4018f15d0ccb3adff0f47a"),
+    ("prod(C3,C3)",
+     "ec949fa7293d424e1c0bf20a4db52f23b4018aeee258669a1d636974d9af7ec2"),
+    ("C10", "0ceb8c2081d8d2e918571cb8da0457a594155dfc41d53b9d63329d3417e84228"),
+    ("D10", "e7a3beafe6ce2328f999654665a892a7c2c069deaa25d7654867ecf8cc29d377"),
+    ("C11", "8ee6307e9d917e34c55f04c8842cfab42f254a46901977c43d56d231fbde6274"),
+    ("C12", "f130fd51655b579f28939e549643be1de284b8c678af8a91c6e8745765f10215"),
+    ("prod(C2,C6)",
+     "0c2711ddf30edbca818952d91d962341cfa8b0b4dd8c6921a1ae5ef58b398325"),
+    ("D12", "01744f2311ca0ecde4abdc4819b65196d1603a949f05012c8a6842d104054f58"),
+    ("perm:(1 2 3);(1 2)(3 4)",
+     "14e91842c596fed6e05ddc7a22a5c132862969767be1dad99362824f35498127"),
+    ("perm:(1 2 3);(2 3)(4 5 6 7)",
+     "5518cf417c86c95701db376bfb385f563df1fe52582dfa9bc5bbcb311311bb29"),
+    ("C13", "a37ecb00748cc7b504c2436c5a961d52945ff755d89b96247910c42436ff7bd0"),
+    ("C14", "d9648cf6607395f3b35c73b06d680710e79f4355b03f3db8d192f24d06b1cf41"),
+    ("D14", "574769272e1cb205517ab1d3427307bff9f459ab8bf39b66f6ef002f946de221"),
+    ("C15", "26987e51d07fcf09d95cec618a771b0648965568ce1b44f5d8f3add680dfe734"),
 ])
 def test_stabilizer_clusters_digest(spec, digest):
     # G^3 is too large for the explicit-induction oracle here, so the
-    # cluster lists are pinned as the element-order bucketing gave them
+    # cluster lists of all 28 groups of order at most 15 (A4 and Dic3 as
+    # permutation groups) are pinned as the conjugacy search in G^3,
+    # coordinate by coordinate, gave them
     g = build_group(spec)
     cls_of = _stabilizer_clusters(g, squared(g))
     assert hashlib.sha256(json.dumps(cls_of).encode()).hexdigest() == digest
 
 
 def test_componentwise_conjugacy_matches_conjugacy_in_the_cube():
-    # psi1(K) and psi2(K) of two class representatives are conjugate only
-    # when equal, so random conjugates of them are compared as well
+    # psi1(K) and psi2(K) are conjugate in G^3 exactly when K is a twisted
+    # diagonal, and never conjugate to an image of another class; random
+    # conjugates of the images check that on more than the representatives
     rng = random.Random(8)
-    g = build_group("S3")
+    for spec in ("S3", "prod(C2,C2)"):
+        _check_twisted_diagonals_in_the_cube(build_group(spec), rng)
+
+
+def _check_twisted_diagonals_in_the_cube(g, rng):
     n = g.order
     ggg = cubed(g)
-    inner = _inner_automorphisms(g)
     lat_gg = subgroup_lattice(squared(g))
-    images = [_triples(g, psi, lat_gg.class_rep(ci).members)
-              for ci in range(lat_gg.class_count)
-              for psi in (_embed_delta_g(g), _embed_d13(g))]
-    moved = []
-    for s in images:
-        x, y, z = (rng.randrange(n) for _ in range(3))
-        moved.append(frozenset((g.conj(x, a), g.conj(y, b), g.conj(z, c))
-                               for a, b, c in s))
+    reps = [lat_gg.class_rep(ci).members for ci in range(lat_gg.class_count)]
+    twisted = [_twisted_diagonal(g, k) for k in reps]
 
-    def in_cube(s):
-        return Subgroup(ggg, (a * n * n + b * n + c for a, b, c in s))
+    def image(psi, k):
+        return Subgroup(ggg, (psi[m] for m in k))
 
-    assert moved != images
-    for s in images:
-        for t in moved:
-            assert _componentwise_conjugate(inner, s, t) == \
-                subgroups_conjugate(ggg, in_cube(s), in_cube(t))
+    images = [(ci, side, image(psi, k)) for ci, k in enumerate(reps)
+              for side, psi in enumerate((_embed_delta_g(g), _embed_d13(g)))]
+    for ci, k in enumerate(reps):
+        assert subgroups_conjugate(ggg, images[2 * ci][2],
+                                   images[2 * ci + 1][2]) == twisted[ci]
+        # the lattice's representatives of twisted classes are diagonals
+        # here, which w = 1 alone decides; a conjugate of K needs its own w
+        x, z = rng.randrange(n), rng.randrange(n)
+        assert _twisted_diagonal(g, [g.conj(x, m // n) * n + g.conj(z, m % n)
+                                     for m in k]) == twisted[ci]
 
+    def conjugate(s, x, y, z):
+        return Subgroup(ggg, (g.conj(x, m // (n * n)) * n * n
+                              + g.conj(y, m // n % n) * n + g.conj(z, m % n)
+                              for m in s.members))
 
-@pytest.mark.parametrize("spec,count", [("C4", 1), ("prod(C2,C3)", 1),
-                                        ("S3", 6), ("D8", 4), ("Q8", 4),
-                                        ("D12", 6)])
-def test_one_conjugator_per_inner_automorphism(spec, count):
-    # |G : Z(G)| conjugators, so an abelian base needs the identity alone
-    assert len(_inner_automorphisms(build_group(spec))) == count
+    moved = [(ci, side, conjugate(s, *(rng.randrange(n) for _ in range(3))))
+             for ci, side, s in images]
+    # an abelian G^3 fixes every subgroup
+    assert g.is_abelian or \
+        [s.members for *_, s in moved] != [s.members for *_, s in images]
+    for ci, side, s in images:
+        for cj, side_t, t in moved:
+            assert subgroups_conjugate(ggg, s, t) == \
+                (ci == cj and (side == side_t or twisted[ci]))
 
 
 def test_commutant_builds_no_cube_and_no_gset(monkeypatch):
