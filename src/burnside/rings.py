@@ -521,9 +521,11 @@ def _solve_rational(rows, ncols, b):
     row ends as 0 = residual; the first nonzero one, by row id among the
     deduplicated rows, is the ``rank_mismatch`` certificate, so which row
     is reported depends on the pivot rule, which decides the rows left
-    live.  No command
-    reaches it: over Q ``separable ring`` is always positive, and the
-    commutant and derivation systems are homogeneous.
+    live.  No command reaches any of it: over Q ``separable ring`` is
+    always positive and reads its verdict off the idempotents,
+    ``derivations`` is 0 by the checked Casimir element, and the
+    commutant is read off the loops of its clusters.  Only the tests and
+    library callers of ``solve_linear`` over Q run it.
     """
     e = _Elimination(rows, ncols, b)
     live = set(range(len(rows)))

@@ -42,7 +42,11 @@ The two products of a basis class (G x G)/K are the inductions to G^3
 along (a, b) -> (a, a, b) and (c, d) -> (d, c, d).  Their stabilizers
 are conjugate exactly when K is a twisted diagonal {(a, w a w^-1)}, and
 never conjugate to those of another class, so each class is decided on
-its own members, with no G^3 built and no conjugacy search.
+its own members, with no G^3 built and no conjugacy search.  A class
+whose two stabilizers agree is a loop: it is free in the condition,
+while every other class is held by two constraints of its own.  So the
+kernel is the span of the unit vectors of the loops, read off them with
+no linear system built or solved.
 """
 
 from __future__ import annotations
@@ -422,57 +426,59 @@ def _stabilizer_clusters(g: Group, gg: Group):
 
 
 def commutant_basis(g: Group, ring) -> CommutantResult:
-    """Solve the two-sided diagonal condition over the basis of RB(G x G).
+    """The two-sided diagonal condition over the basis of RB(G x G).
 
     The single witness is the identity biset of G; for m over G x G the
     condition reads Ind along {(a,a,b)} equals Ind along {(a,b,a)} inside
     G^3.  Both inductions of a basis class (G x G)/K are transitive, with
-    stabilizers conjugate to the images psi1(K) and psi2(K), so the
-    constraint matrix only needs the conjugacy classes of these images.
-    They are conjugate to each other exactly when K is a twisted diagonal
-    {(a, w a w^-1)}, and to no image of another class, so they are read
-    off K with no G^3 or G-set built.  The solution set is compared
-    against the span of the diagonal classes [GG/Delta(L)].  Only
-    |G x G| <= MAX_GROUP_ORDER bounds the base group; ``squared`` raises
-    ResourceBoundError beyond it.
+    stabilizers conjugate to the images psi1(K) and psi2(K), so only the
+    conjugacy classes of these images matter.  They are conjugate to each
+    other exactly when K is a twisted diagonal {(a, w a w^-1)}, and to no
+    image of another class, so they are read off K with no G^3 or G-set
+    built.  The twisted diagonals are the loops, and the kernel is read
+    off them as their unit vectors, with nothing solved.  The loops are
+    compared against the diagonal classes [GG/Delta(L)], found apart by
+    the image of each Delta(L).  Only |G x G| <= MAX_GROUP_ORDER bounds
+    the base group; ``squared`` raises ResourceBoundError beyond it.
     """
     gg = squared(g)
     return _commutant_from_clusters(g, gg, ring, _stabilizer_clusters(g, gg))
 
 
 def _commutant_from_clusters(g: Group, gg: Group, ring, cls_of) -> CommutantResult:
-    """The commutant from the stabilizer class of each induction.
+    """The commutant read off the stabilizer class of each induction.
 
     cls_of lists, for each basis class ci of gg = G x G, the classes of
-    its two induced stabilizers at 2*ci and 2*ci + 1, numbered from 0.
+    its two induced stabilizers at 2*ci and 2*ci + 1, and must have the
+    shape ``_stabilizer_clusters`` gives it: each class has clusters of
+    its own, one if it is a loop and two otherwise, numbered from 0 in
+    first-seen order.  The constraint rows, one per cluster, then hold a
+    non-loop class as +1 and -1 in two rows of its own and no loop at
+    all, so over every ring the kernel is spanned by the unit vectors of
+    the loops, and they are read off with no system solved.  Over Q they
+    come in increasing order.  Over Z and Z/m the elimination that used
+    to solve the rows left them in the order of its column swaps: the
+    non-loop classes, in increasing order, were the pivots of the steps
+    t = 0, 1, ..., each swapped into position t, and the loops were read
+    off the positions after the last step.  Those swaps are replayed, so
+    the output keeps that order; it relies on the first-seen numbering.
     """
-    lat_gg = subgroup_lattice(gg)
-    n = lat_gg.class_count
-    n_clusters = max(cls_of) + 1
-    rows = [{} for _ in range(n_clusters)]
-    for ci in range(n):
-        if cls_of[2 * ci] != cls_of[2 * ci + 1]:
-            rows[cls_of[2 * ci]][ci] = 1
-            rows[cls_of[2 * ci + 1]][ci] = -1
-
-    res = solve_linear(Matrix.from_sparse(ring, n, rows), [ring.zero] * n_clusters)
-    if not isinstance(res, Solution):
-        raise InternalInconsistencyError("homogeneous system reported unsolvable")
-    solutions = [BurnsideElement(gg, ring, dict(enumerate(vec)))
-                 for vec in res.kernel]
-
+    n = subgroup_lattice(gg).class_count
+    loops = {ci for ci in range(n) if cls_of[2 * ci] == cls_of[2 * ci + 1]}
+    cat, cpos, t = list(range(n)), list(range(n)), 0
+    for c in range(n):
+        if c not in loops:  # the pivot of step t
+            p, a = cpos[c], cat[t]
+            cat[t], cat[p], cpos[c], cpos[a] = c, a, t, p
+            t += 1
+    order = sorted(loops) if ring == QQ else cat[t:]
+    solutions = [BurnsideElement._built(gg, ring, {c: ring.one}) for c in order]
     # the diagonal classes Delta(L) for L over the base lattice
     diag_classes = _image_classes(g, gg, lambda x: x * g.order + x,
                                   range(subgroup_lattice(g).class_count))
-    diag_set = set(diag_classes)
-
-    supported = all(set(sol.coeffs) <= diag_set for sol in solutions)
-    each_diag_solves = all(
-        cls_of[2 * dc] == cls_of[2 * dc + 1] for dc in diag_classes)
-    matches = supported and each_diag_solves
-
-    dimension = len(res.kernel) if ring == QQ else None
-    return CommutantResult(solutions, matches, diag_classes, dimension)
+    dimension = len(order) if ring == QQ else None
+    return CommutantResult(solutions, set(diag_classes) == loops, diag_classes,
+                           dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from burnside.algebra import (
     mult_matrix,
     transitive_of_class,
 )
+from burnside.bisets import _image_classes
 from burnside.errors import GroupMismatchError, RingMismatchError
 from burnside.groups import (
     Group,
@@ -26,8 +27,8 @@ from burnside.groups import (
     subgroups_conjugate,
 )
 from burnside.gsets import induce_along, orbits, stabilizer
-from burnside.rings import ZZ, NoSolution, Solution
-from burnside.separability import TensorElement
+from burnside.rings import QQ, ZZ, Matrix, NoSolution, Solution, solve_linear
+from burnside.separability import CommutantResult, TensorElement
 
 
 def assoc_holds_everywhere(g):
@@ -616,3 +617,32 @@ def induced_stabilizer_clusters(g: Group):
             found = len(reps) - 1
         cls_of.append(found)
     return cls_of
+
+
+def solved_commutant(g: Group, gg: Group, ring, cls_of):
+    """The commutant by solving the constraint system the clusters give.
+
+    One row per stabilizer cluster holds each class ci of gg = G x G whose
+    two inductions fall in different clusters, as +1 in the row of the
+    first and -1 in the row of the second; the kernel over the ring is
+    the commutant.  It matches the diagonal span when every solution is
+    supported on diagonal classes and every diagonal class is a loop.
+    """
+    n = subgroup_lattice(gg).class_count
+    n_clusters = max(cls_of) + 1
+    rows = [{} for _ in range(n_clusters)]
+    for ci in range(n):
+        if cls_of[2 * ci] != cls_of[2 * ci + 1]:
+            rows[cls_of[2 * ci]][ci] = 1
+            rows[cls_of[2 * ci + 1]][ci] = -1
+    res = solve_linear(Matrix.from_sparse(ring, n, rows), [ring.zero] * n_clusters)
+    assert isinstance(res, Solution), "a homogeneous system is solvable"
+    solutions = [BurnsideElement(gg, ring, dict(enumerate(vec)))
+                 for vec in res.kernel]
+    diag_classes = _image_classes(g, gg, lambda x: x * g.order + x,
+                                  range(subgroup_lattice(g).class_count))
+    supported = all(set(sol.coeffs) <= set(diag_classes) for sol in solutions)
+    each_diag_solves = all(cls_of[2 * dc] == cls_of[2 * dc + 1]
+                           for dc in diag_classes)
+    return CommutantResult(solutions, supported and each_diag_solves,
+                           diag_classes, len(res.kernel) if ring == QQ else None)

@@ -64,6 +64,7 @@ from helpers import (
     fraction_tensor_mu,
     fraction_verify_casimir,
     induced_stabilizer_clusters,
+    solved_commutant,
 )
 
 
@@ -351,6 +352,44 @@ def test_commutant_matches_explicit_induction(spec):
             _commutant_from_clusters(g, gg, ring, cls_of)
 
 
+def _shaped_clusters(rng, n):
+    """A cluster list of _stabilizer_clusters's shape on n classes: each
+    class gets one fresh cluster or two, in first-seen order."""
+    cls_of = []
+    for _ in range(n):
+        new = cls_of[-1] + 1 if cls_of else 0
+        cls_of += [new, new] if rng.random() < 0.5 else [new, new + 1]
+    return cls_of
+
+
+@pytest.mark.parametrize("spec", ["S3", "prod(C2,C3)"])
+def test_commutant_read_off_the_loops_matches_the_solve(spec):
+    g = build_group(spec)
+    gg = squared(g)
+    n = subgroup_lattice(gg).class_count
+    real = _stabilizer_clusters(g, gg)
+    rng = random.Random(31)
+    cases = [(real, True)] + [(_shaped_clusters(rng, n), None) for _ in range(8)]
+    loops = [ci for ci in range(n) if real[2 * ci] == real[2 * ci + 1]]
+    others = [ci for ci in range(n) if ci not in loops]
+    # split one diagonal class into a fresh cluster, or merge the two
+    # clusters of one other class: either way the loops are not the
+    # diagonal classes
+    for ci in rng.sample(loops, 2):
+        split = list(real)
+        split[2 * ci + 1] = max(real) + 1
+        cases.append((split, False))
+    for ci in rng.sample(others, 2):
+        merged = list(real)
+        merged[2 * ci + 1] = merged[2 * ci]
+        cases.append((merged, False))
+    for cls_of, matches in cases:
+        for ring in (QQ, ZZ, Zmod(2), Zmod(6)):
+            got = _commutant_from_clusters(g, gg, ring, cls_of)
+            assert got == solved_commutant(g, gg, ring, cls_of)
+            assert matches is None or got.matches_diagonal_span == matches
+
+
 @pytest.mark.parametrize("spec,digest", [
     ("C1", "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1"),
     ("C2", "5554f8852706be86d78da1f88e02412d8e6da5c01b27ff6f92bf7221cd0b437d"),
@@ -398,7 +437,7 @@ def test_stabilizer_clusters_digest(spec, digest):
     assert hashlib.sha256(json.dumps(cls_of).encode()).hexdigest() == digest
 
 
-def test_componentwise_conjugacy_matches_conjugacy_in_the_cube():
+def test_twisted_diagonals_match_conjugacy_in_the_cube():
     # psi1(K) and psi2(K) are conjugate in G^3 exactly when K is a twisted
     # diagonal, and never conjugate to an image of another class; random
     # conjugates of the images check that on more than the representatives
