@@ -1,5 +1,11 @@
 """The Burnside algebra of a group over a coefficient ring.
 
+This module is part of the engine (``errors``, ``groups``, ``rings``,
+``algebra``, ``separability``, ``cli``), which imports nothing from the
+concrete G-set and biset layer (``gsets``, ``bisets``): that layer sits
+on top, imports the engine, and serves as the biset calculus and the
+tests' oracle.
+
 Elements are coefficient vectors over the subgroup-class basis [G/H].
 The marks homomorphism B(G) -> prod_(K) Z, x -> (|x^K|)_K, is injective
 and the table of marks is lower triangular (Gluck 1981), so every
@@ -35,10 +41,16 @@ units (Dress's description of the prime ideals of B(G)), so ``invert``
 checks the marks and then inverts them in the ghost ring: the inverted
 marks, scaled to integers, come back through ``unghost`` and are lowered
 into the element's own ring.  No linear system is solved.
+
+The conjugation class ``gamma``, the classes of images along an
+injective map (``_image_classes``) and Mackey's identity
+(``mackey_check``) live here too.  They read only the lattice and the
+element classes, so no G-set or biset is built for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,14 +62,8 @@ from .errors import (
     NotInvertibleError,
     RingMismatchError,
 )
-from .groups import Group, subgroup_lattice
-from .gsets import GSet, decompose, transitive
-from .rings import QQ
-
-
-def transitive_of_class(g: Group, ci: int) -> GSet:
-    """The transitive G-set G/H for the lattice class with index ci."""
-    return transitive(g, subgroup_lattice(g).class_rep(ci))
+from .groups import Group, element_classes, subgroup_lattice
+from .rings import QQ, ZZ
 
 
 @dataclass(frozen=True)
@@ -201,14 +207,6 @@ class BurnsideElement:
     @classmethod
     def basis(cls, group, ring, ci):
         return cls(group, ring, {ci: ring.one})
-
-    @classmethod
-    def from_gset(cls, x: GSet, ring):
-        lat = subgroup_lattice(x.group)
-        coeffs = {}
-        for label, mult in decompose(x).multiplicities().items():
-            coeffs[lat.class_index_of_label(label)] = ring.from_int(mult)
-        return cls(x.group, ring, coeffs)
 
     def _compat(self, other):
         if self.group != other.group:
@@ -399,3 +397,72 @@ def invert(a: BurnsideElement):
     if multiply(a, cand) != identity_element(g, ring):
         raise InternalInconsistencyError("inverse fails the product check")
     return cand
+
+
+# -- the conjugation class and Mackey's identity, read off the lattice --------
+
+def _image_classes(g: Group, target: Group, image, cis) -> list:
+    """The class in target's lattice of the image of each class ci of g in
+    cis, along the injective homomorphism x -> image(x).
+
+    The member tuple of each class representative is mapped into target
+    and the image subgroup looked up there.  Inducing [G/H] along the map
+    gives [T/image(H)] (Bouc, Biset Functors for Finite Groups, 2010).
+    """
+    lat, lat_t = subgroup_lattice(g), subgroup_lattice(target)
+    return [lat_t.class_of[lat_t.subgroup_index(map(image, lat.class_rep(ci).members))]
+            for ci in cis]
+
+
+def gamma(g: Group, ring=ZZ) -> BurnsideElement:
+    """The class of g acting on itself by conjugation.
+
+    The orbit of x is its conjugacy class, with stabilizer C_G(x), so the
+    class is the sum of [G/C_G(x)] over the element classes, each found
+    in the lattice; no G-set is built.  Its marks are the centralizer
+    orders.  The element is built over g, not over ``lat.group``, which
+    the structurally keyed lattice cache may make another equal group.
+    """
+    lat = subgroup_lattice(g)
+    counts = Counter(lat.class_index_of_subgroup(cz) for _, _, cz in element_classes(g))
+    return BurnsideElement(g, ring, {ci: ring.from_int(c) for ci, c in counts.items()})
+
+
+def mackey_check(g: Group) -> list:
+    """Whether Res_Delta Ind_Delta x == gamma * x, for each basis class
+    x = [G/H] of g, in class order.
+
+    Res_Delta Ind_Delta [G/H] is G_conj x G/H, through the G-isomorphism
+    (a, b)Delta(H) -> (a*b^-1, bH), and that is G x_H G_conj, through
+    [b, y] -> (b*y*b^-1, bH) (Bouc, Biset Functors for Finite Groups,
+    2010).  So the left side is counted on the points of G: one
+    [G/C_H(y)] per orbit of H acting on G by conjugation, with no G x G
+    group and no G-set built.  It never reads gamma or the ghost kernel,
+    which give the right side: gamma's marks are read once, and for each
+    class they are multiplied by the row of [G/H] in the table of marks
+    and brought back to integer coefficients by one ``unghost``.
+    """
+    lat = subgroup_lattice(g)
+    # ZZ's values are the ints themselves
+    marks = ghost(lat, gamma(g, ZZ).coeffs.items())
+    return [_orbit_count(g, lat, ci) == _gamma_times(lat, marks, ci)
+            for ci in range(lat.class_count)]
+
+
+def _orbit_count(g, lat, ci):
+    """Res_Delta Ind_Delta [G/H] for H the rep of class ci, as integer
+    coefficients: one [G/C_H(y)] per orbit of H on G by conjugation."""
+    h, seen, counts = lat.class_rep(ci).members, set(), [0] * lat.class_count
+    for y in g.elements():
+        if y not in seen:
+            orbit = [g.conj(x, y) for x in h]
+            seen.update(orbit)
+            counts[lat.class_of[lat.subgroup_index(
+                x for x, c in zip(h, orbit) if c == y)]] += 1
+    return counts
+
+
+def _gamma_times(lat, marks, ci):
+    """gamma * [G/H_ci] as integer coefficients, from gamma's marks: the
+    product's marks are those times row ci of the table."""
+    return unghost(lat, [p * q for p, q in zip(marks, lat.marks[ci])])

@@ -1,18 +1,20 @@
 """Concrete bisets and the diagonal product calculus.
 
+This module is in the concrete layer above the engine: it imports
+``algebra``, ``groups`` and ``gsets``, and no engine module imports it.
 An (H, G)-biset is carried as a set with an action of the product group
 H x G, the right action being encoded through inverses:
 (h, g).x = h x g^-1.  Composition and the diagonal products are then
 plain orbit/quotient computations on carriers, which keeps every
-identity checkable against explicit decompositions.  The conjugation
-class and diagonal induction have their orbits in closed form, so they
-are read off the subgroup lattice instead, and no G-set is built.
+identity checkable against explicit decompositions.  Diagonal
+induction has its orbits in closed form, so it is read off the subgroup
+lattice instead, by ``algebra._image_classes``, and no G-set is built.
 Mackey's diagonal restriction reads each G x G-set at the rows (x, x),
-as a G-set over G itself.  No command builds a G-set or restricts along
-the diagonal: ``mackey-check`` counts Res Ind [G/H] as the orbits of H
-acting on G by conjugation, and ``diagonal_induce``, ``diagonal_restrict``
-and the G-set G_conj x G/H are the reference routes the tests check it
-against.
+as a G-set over G itself.  The conjugation class ``gamma`` and the
+Mackey check ``mackey_check`` live in ``algebra``, and no command
+reaches this module: ``diagonal_induce``, ``diagonal_restrict`` and the
+G-set G_conj x G/H are the reference routes the tests check
+``mackey_check`` against.
 
 Product groups carry an ordered factor list; the diagonal operations
 take explicit factor indices and an explicit output layout, because the
@@ -22,11 +24,11 @@ sits in the output product.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
-from .algebra import BurnsideElement, transitive_of_class
+from .algebra import BurnsideElement, _image_classes
+from .algebra import gamma  # noqa: F401  perfbench traces it as bisets.gamma
 from .errors import (
     FactorMismatchError,
     GroupMismatchError,
@@ -41,13 +43,11 @@ from .groups import (
     _cyclic,
     balanced_product,
     direct_product,
-    element_classes,
     is_homomorphism,
     squared,
     subgroup_lattice,
 )
-from .gsets import GSet
-from .rings import ZZ
+from .gsets import GSet, from_gset, transitive_of_class
 
 _TRIVIAL = _cyclic(1)
 
@@ -156,21 +156,8 @@ def _extend(a: BurnsideElement, target: Group, image) -> BurnsideElement:
     out = BurnsideElement.zero(target, a.ring)
     for ci, coeff in a.coeffs.items():
         x = image(transitive_of_class(a.group, ci))
-        out = out.add(BurnsideElement.from_gset(x, a.ring).scale(coeff))
+        out = out.add(from_gset(x, a.ring).scale(coeff))
     return out
-
-
-def _image_classes(g: Group, target: Group, image, cis) -> list:
-    """The class in target's lattice of the image of each class ci of g in
-    cis, along the injective homomorphism x -> image(x).
-
-    The member tuple of each class representative is mapped into target
-    and the image subgroup looked up there.  Inducing [G/H] along the map
-    gives [T/image(H)] (Bouc, Biset Functors for Finite Groups, 2010).
-    """
-    lat, lat_t = subgroup_lattice(g), subgroup_lattice(target)
-    return [lat_t.class_of[lat_t.subgroup_index(map(image, lat.class_rep(ci).members))]
-            for ci in cis]
 
 
 def apply_biset(u: Biset, a: BurnsideElement) -> BurnsideElement:
@@ -286,7 +273,7 @@ def diagonal_product(a: BurnsideElement, b: BurnsideElement,
         x = transitive_of_class(a.group, ci)
         for cj, cb in b.coeffs.items():
             merged = diagonal_merge_gsets(x, ys[cj], ia, ib, layout)
-            term = BurnsideElement.from_gset(merged, ring).scale(ring.mul(ca, cb))
+            term = from_gset(merged, ring).scale(ring.mul(ca, cb))
             out = term if out is None else out.add(term)
     if out is None:
         raise FactorMismatchError("diagonal product of zero elements is ambiguous")
@@ -332,22 +319,8 @@ def permute_factors_element(a: BurnsideElement, perm) -> BurnsideElement:
 
 
 # ---------------------------------------------------------------------------
-# Conjugation class and the diagonal induction/restriction pair
+# The diagonal induction/restriction pair
 # ---------------------------------------------------------------------------
-
-def gamma(g: Group, ring=ZZ) -> BurnsideElement:
-    """The class of g acting on itself by conjugation.
-
-    The orbit of x is its conjugacy class, with stabilizer C_G(x), so the
-    class is the sum of [G/C_G(x)] over the element classes, each found
-    in the lattice; no G-set is built.  Its marks are the centralizer
-    orders.  The element is built over g, not over ``lat.group``, which
-    the structurally keyed lattice cache may make another equal group.
-    """
-    lat = subgroup_lattice(g)
-    counts = Counter(lat.class_index_of_subgroup(cz) for _, _, cz in element_classes(g))
-    return BurnsideElement(g, ring, {ci: ring.from_int(c) for ci, c in counts.items()})
-
 
 def _diagonal_of(gg: Group) -> Group:
     """G, for a group gg recorded as the product G x G."""

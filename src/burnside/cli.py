@@ -1,5 +1,10 @@
 """Command-line front end with deterministic text and JSON output.
 
+This module is the top of the engine: it parses and formats, and the
+mathematics it reports is the engine's (the conjugation class and the
+Mackey check come from ``algebra``).  It imports nothing from the
+concrete G-set and biset layer.
+
 Mathematical verdicts ("not separable", "nonzero derivations") are data,
 not failures: they exit 0.  Exit code 2 is reserved for errors, reported
 as a single machine-parsable line ``E_<CODE>: message`` on stderr.
@@ -18,17 +23,16 @@ from types import SimpleNamespace
 from . import errors
 from .algebra import (
     NotInvertible,
-    ghost,
+    gamma,
     idempotent_system,
     invert,
+    mackey_check,
     marks_vector,
     multiply,
     table_of_marks,
-    unghost,
 )
-from .bisets import gamma
 from .groups import build_group, element_classes, subgroup_lattice
-from .rings import ZZ, ring_from_spec
+from .rings import ring_from_spec
 from .separability import (
     commutant_basis,
     derivation_space,
@@ -215,38 +219,10 @@ def cmd_gamma(g, ring, args):
     return payload, lines
 
 
-# Res_Delta Ind_Delta [G/H] is G_conj x G/H, through the G-isomorphism
-# (a, b)Delta(H) -> (a*b^-1, bH), and that is G x_H G_conj, through
-# [b, y] -> (b*y*b^-1, bH) (Bouc, Biset Functors for Finite Groups, 2010).
-# So its class is counted on the points of G: one [G/C_H(y)] per orbit of
-# H acting on G by conjugation, with no G x G group and no G-set built.
-
-def _orbit_count(g, lat, ci):
-    """Res_Delta Ind_Delta [G/H] for H the rep of class ci, as integer
-    coefficients: one [G/C_H(y)] per orbit of H on G by conjugation."""
-    h, seen, counts = lat.class_rep(ci).members, set(), [0] * lat.class_count
-    for y in g.elements():
-        if y not in seen:
-            orbit = [g.conj(x, y) for x in h]
-            seen.update(orbit)
-            counts[lat.class_of[lat.subgroup_index(
-                x for x, c in zip(h, orbit) if c == y)]] += 1
-    return counts
-
-
-def _gamma_times(lat, marks, ci):
-    """gamma * [G/H_ci] as integer coefficients, from gamma's marks: the
-    product's marks are those times row ci of the table."""
-    return unghost(lat, [p * q for p, q in zip(marks, lat.marks[ci])])
-
-
 def cmd_mackey_check(g, ring, args):
     lat = subgroup_lattice(g)
-    # gamma's marks once for every class; ZZ's values are the ints themselves
-    marks = ghost(lat, gamma(g, ZZ).coeffs.items())
-    results = [{"label": lat.classes[ci].label,
-                "verified": _orbit_count(g, lat, ci) == _gamma_times(lat, marks, ci)}
-               for ci in range(lat.class_count)]
+    results = [{"label": cls.label, "verified": ok}
+               for cls, ok in zip(lat.classes, mackey_check(g))]
     ok = all(r["verified"] for r in results)
     payload = {
         "command": "mackey-check",

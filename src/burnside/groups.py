@@ -12,8 +12,9 @@ and associativity, and ``Subgroup(...)`` checks closure.  What the
 package builds from checked objects is not checked again: the spec
 builders, ``direct_product`` and ``Subgroup.as_group`` make their groups
 through ``Group._built``, and the lattice's subgroups and the
-centralizers of ``element_classes`` come through ``Subgroup._built``,
-which stores the members and bitset it is given.
+centralizers of ``element_classes`` and ``centralizer_of_subgroup``
+come through ``Subgroup._built``, which stores the members and bitset
+it is given.
 
 The subgroup lattice is the per-group record everything else reads:
 subgroups, conjugacy classes, Moebius values and the table of marks.
@@ -51,6 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import (
+    BadLabelError,
     NotAGroupError,
     NotContainedError,
     OrderBoundError,
@@ -395,7 +397,6 @@ class SubgroupLattice:
         return self.subgroups[self.classes[ci].rep_index]
 
     def class_index_of_label(self, label):
-        from .errors import BadLabelError
         try:
             return self._label_to_class[label]
         except KeyError:
@@ -759,9 +760,9 @@ def normalizer(g: Group, h: Subgroup) -> Subgroup:
 def centralizer_of_subgroup(g: Group, h: Subgroup) -> Subgroup:
     if h.parent != g:
         raise NotContainedError("subgroup of a different group")
-    members = [x for x in g.elements()
-               if all(g.mul_table[x][m] == g.mul_table[m][x] for m in h.members)]
-    return Subgroup(g, members)
+    members = tuple(x for x in g.elements()
+                    if all(g.mul_table[x][m] == g.mul_table[m][x] for m in h.members))
+    return Subgroup._built(g, members, sum(1 << x for x in members))
 
 
 def centralizer_of_element(g: Group, x: int) -> Subgroup:

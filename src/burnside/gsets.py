@@ -1,5 +1,10 @@
 """Finite left actions of a group on an indexed point set.
 
+This module is in the concrete layer above the engine: it imports
+``algebra`` and ``groups``, and no engine module imports it.
+``transitive_of_class`` gives the G-set of a lattice class, and
+``from_gset`` the class of a G-set in the Burnside algebra.
+
 A GSet stores the action as a dense table action[g][p], as given, its
 rows made tuples.  Construction verifies that every entry is an int
 point index (1.5, 1.0 or "1" is refused with NotAGroupError, never
@@ -18,7 +23,8 @@ downstream.  Biset composition, the diagonal merge and Mackey's diagonal
 restriction need these concrete sets.  No command builds a G-set: the
 algebra multiplies through the table of marks, the conjugation class,
 diagonal induction and the commutant are read off the subgroup lattice,
-and ``mackey-check`` counts the orbits of H acting on G by conjugation.
+and ``algebra.mackey_check`` counts the orbits of H acting on G by
+conjugation.
 ``fixed_points``, ``induce``, ``restrict``, ``product`` and
 ``conjugation_gset`` are the reference routes the tests check them
 against; ``product`` of ``conjugation_gset`` and G/H is Res Ind [G/H]
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import BurnsideElement
 from .errors import GroupMismatchError, NotAGroupError, NotContainedError
 from .groups import (
     Group,
@@ -36,6 +43,7 @@ from .groups import (
     acts_compatibly,
     balanced_product,
     is_homomorphism,
+    subgroup_lattice,
     subgroups_conjugate,
     trivial_subgroup,
 )
@@ -104,6 +112,11 @@ def transitive(g: Group, h: Subgroup) -> GSet:
             point_of[g.mul_table[x][m]] = p
     action = [[point_of[g.mul_table[a][r]] for r in reps] for a in g.elements()]
     return GSet._built(g, action)
+
+
+def transitive_of_class(g: Group, ci: int) -> GSet:
+    """The transitive G-set G/H for the lattice class with index ci."""
+    return transitive(g, subgroup_lattice(g).class_rep(ci))
 
 
 def regular(g: Group) -> GSet:
@@ -197,8 +210,6 @@ class OrbitDecomposition:
 
 def decompose(x: GSet) -> OrbitDecomposition:
     """Split into orbits with stabilizers, labelled against the lattice."""
-    from .groups import subgroup_lattice
-
     lat = subgroup_lattice(x.group)
     parts = []
     for orbit in orbits(x):
@@ -206,6 +217,16 @@ def decompose(x: GSet) -> OrbitDecomposition:
         label = lat.class_label_of_subgroup(stab)
         parts.append(Orbit(orbit, stab, label))
     return OrbitDecomposition(x.group, tuple(parts))
+
+
+def from_gset(x: GSet, ring) -> BurnsideElement:
+    """The class of x in the Burnside algebra over ring: its orbit counts
+    per subgroup class."""
+    lat = subgroup_lattice(x.group)
+    coeffs = {}
+    for label, mult in decompose(x).multiplicities().items():
+        coeffs[lat.class_index_of_label(label)] = ring.from_int(mult)
+    return BurnsideElement(x.group, ring, coeffs)
 
 
 def induce(x: GSet, h: Subgroup, k: Group) -> GSet:

@@ -57,7 +57,9 @@ from .algebra import (
     BurnsideElement,
     NotInvertible,
     _ghost,
+    _image_classes,
     _unit_order_lattice,
+    gamma,
     ghost,
     identity_element,
     idempotent_system,
@@ -68,7 +70,6 @@ from .algebra import (
     multiply,
     unghost,
 )
-from .bisets import _image_classes, gamma
 from .errors import (
     GroupMismatchError,
     InternalInconsistencyError,

@@ -10,11 +10,10 @@ from itertools import combinations
 
 from burnside.algebra import (
     BurnsideElement,
+    _image_classes,
     identity_element,
     mult_matrix,
-    transitive_of_class,
 )
-from burnside.bisets import _image_classes
 from burnside.errors import GroupMismatchError, RingMismatchError
 from burnside.groups import (
     Group,
@@ -26,7 +25,7 @@ from burnside.groups import (
     subgroup_lattice,
     subgroups_conjugate,
 )
-from burnside.gsets import induce_along, orbits, stabilizer
+from burnside.gsets import induce_along, orbits, stabilizer, transitive_of_class
 from burnside.rings import QQ, ZZ, Matrix, NoSolution, Solution, solve_linear
 from burnside.separability import CommutantResult, TensorElement
 

@@ -163,7 +163,7 @@ def test_criterion_5_commutant():
         ggg = product_of([g, g, g])
         lat_g = subgroup_lattice(g)
         lat_gg = subgroup_lattice(gg)
-        from burnside.algebra import transitive_of_class
+        from burnside.gsets import transitive_of_class
         for cj in range(lat_g.class_count):
             rep = lat_g.class_rep(cj)
             members = [x * g.order + x for x in rep.members]

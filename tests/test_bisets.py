@@ -5,11 +5,14 @@ import pytest
 
 from burnside.algebra import (
     BurnsideElement,
+    _gamma_times,
+    _orbit_count,
+    ghost,
     identity_element,
+    mackey_check,
     mark,
     marks_vector,
     multiply,
-    transitive_of_class,
 )
 from burnside.bisets import (
     apply_biset,
@@ -52,11 +55,13 @@ from burnside.gsets import (
     conjugation_gset,
     decompose,
     fixed_points,
+    from_gset,
     induce,
     iso_equal,
     product,
     restrict,
     transitive,
+    transitive_of_class,
 )
 from burnside.rings import QQ, ZZ, Zmod
 
@@ -261,7 +266,7 @@ def test_apply_restriction_matches_gset_restrict():
                 a = BurnsideElement.basis(g, ZZ, ci)
                 via_biset = apply_biset(res_biset, a)
                 x = restrict(transitive(g, lat.class_rep(ci)), k)
-                via_gset = BurnsideElement.from_gset(x.rehomed(k.as_group()), ZZ)
+                via_gset = from_gset(x.rehomed(k.as_group()), ZZ)
                 assert via_biset == via_gset
 
 
@@ -412,9 +417,15 @@ def test_mackey_identity_on_basis(spec):
     g = build_group(spec)
     lat = subgroup_lattice(g)
     gam = gamma(g, ZZ)
-    for ci in range(lat.class_count):
+    marks, n = ghost(lat, gam.coeffs.items()), lat.class_count
+    for ci in range(n):
         a = BurnsideElement.basis(g, ZZ, ci)
-        assert diagonal_restrict(diagonal_induce(a)) == multiply(gam, a)
+        left, right = diagonal_restrict(diagonal_induce(a)), multiply(gam, a)
+        assert left == right
+        # each side of mackey_check matches its oracle on this class
+        assert _orbit_count(g, lat, ci) == [left.coeffs.get(k, 0) for k in range(n)]
+        assert _gamma_times(lat, marks, ci) == [right.coeffs.get(k, 0) for k in range(n)]
+    assert mackey_check(g) == [True] * n
 
 
 @pytest.mark.parametrize("spec", [f"C{n}" for n in range(1, 16)]
@@ -428,7 +439,7 @@ def test_res_ind_along_the_diagonal_is_conjugation_times_coset_set(spec):
     for ci in range(subgroup_lattice(g).class_count):
         x = product(conj, transitive_of_class(g, ci))
         a = BurnsideElement.basis(g, ZZ, ci)
-        assert BurnsideElement.from_gset(x, ZZ) == diagonal_restrict(diagonal_induce(a))
+        assert from_gset(x, ZZ) == diagonal_restrict(diagonal_induce(a))
 
 
 def test_diagonal_product_with_unit():
@@ -569,7 +580,7 @@ def test_gamma_matches_conjugation_gset(spec):
     x = conjugation_gset(g)
     for ring in (ZZ, QQ, Zmod(6)):
         gam = gamma(g, ring)
-        assert gam == BurnsideElement.from_gset(x, ring)
+        assert gam == from_gset(x, ring)
         assert gam.group is g
 
 
@@ -585,10 +596,10 @@ def test_diagonal_induce_matches_concrete_induction(spec):
     for ci in range(lat.class_count):
         a = BurnsideElement.basis(g, ZZ, ci).scale(3)
         x = induce(transitive_of_class(g, ci).rehomed(dg), delta, gg)
-        assert diagonal_induce(a, gg) == BurnsideElement.from_gset(x, ZZ).scale(3)
+        assert diagonal_induce(a, gg) == from_gset(x, ZZ).scale(3)
         # and linearly, with a different coefficient on each class
         total = total.add(BurnsideElement.basis(g, ZZ, ci).scale(ci + 1))
-        expect = expect.add(BurnsideElement.from_gset(x, ZZ).scale(ci + 1))
+        expect = expect.add(from_gset(x, ZZ).scale(ci + 1))
     assert diagonal_induce(total, gg) == expect
 
 
@@ -603,7 +614,7 @@ def test_diagonal_restrict_matches_restriction_to_the_diagonal_subgroup(spec):
     n = subgroup_lattice(gg).class_count
     expect = BurnsideElement.zero(g, ZZ)
     for ci in range(n):
-        x = BurnsideElement.from_gset(
+        x = from_gset(
             restrict(transitive_of_class(gg, ci), delta).rehomed(g), ZZ)
         res = diagonal_restrict(BurnsideElement.basis(gg, ZZ, ci))
         assert res == x
@@ -625,7 +636,7 @@ def test_permute_factors_element_matches_gset(spec, perm):
     g = build_group(spec)
     n = subgroup_lattice(g).class_count
     for ring in (ZZ, Zmod(6)):
-        xs = [BurnsideElement.from_gset(
+        xs = [from_gset(
             permute_factors_gset(transitive_of_class(g, ci), perm), ring)
             for ci in range(n)]
         five = ring.from_int(5)

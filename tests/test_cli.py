@@ -18,9 +18,9 @@ import burnside
 import burnside.cli
 import burnside.rings
 import burnside.separability
-from burnside.algebra import BurnsideElement, transitive_of_class
+import burnside.algebra
 from burnside.cli import main
-from burnside.gsets import conjugation_gset, product
+from burnside.gsets import conjugation_gset, from_gset, product, transitive_of_class
 from burnside.rings import ZZ
 from test_groups import _PERM_GENS, _cycles
 
@@ -188,11 +188,11 @@ def test_mackey_check_orbit_count_is_the_conjugation_times_coset_set(
     # with the right side swapped for the G-set G_conj x G/H, every class
     # still verifies: the orbit count equals that set, class by class
     def gset_side(lat, marks, ci):
-        x = BurnsideElement.from_gset(
+        x = from_gset(
             product(conjugation_gset(lat.group), transitive_of_class(lat.group, ci)), ZZ)
         return [x.coeffs.get(k, 0) for k in range(lat.class_count)]
 
-    monkeypatch.setattr(burnside.cli, "_gamma_times", gset_side)
+    monkeypatch.setattr(burnside.algebra, "_gamma_times", gset_side)
     code, out, err = run_cli(capsys, "mackey-check", spec, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["all_verified"] is True
@@ -202,14 +202,14 @@ def test_mackey_check_orbit_count_is_the_conjugation_times_coset_set(
 def test_mackey_check_left_side_does_not_read_the_right(capsys, monkeypatch, spec):
     # adding [G/G] to gamma * x must fail every class: the left side is
     # counted on its own, not derived from the right
-    gamma_times = burnside.cli._gamma_times
+    gamma_times = burnside.algebra._gamma_times
 
     def shifted(lat, marks, ci):
         x = gamma_times(lat, marks, ci)
         x[-1] += 1
         return x
 
-    monkeypatch.setattr(burnside.cli, "_gamma_times", shifted)
+    monkeypatch.setattr(burnside.algebra, "_gamma_times", shifted)
     code, out, err = run_cli(capsys, "mackey-check", spec)
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -790,8 +790,8 @@ def test_failed_stdout_write_is_one_e_io_line(argv):
 
 
 def test_tom_of_a_product_checks_nothing_the_package_built(capsys, monkeypatch):
-    # the spec builders, direct_product and the lattice build through
-    # _built, so the checks meant for outside input never run
+    # the spec builders, direct_product, the lattice and the centralizers
+    # build through _built, so the checks meant for outside input never run
     import burnside.groups
     from burnside.groups import Group, Subgroup, build_group
 
@@ -811,7 +811,8 @@ def test_tom_of_a_product_checks_nothing_the_package_built(capsys, monkeypatch):
         if getattr(mod, "acts_compatibly", None) is acts:
             monkeypatch.setattr(mod, "acts_compatibly", counted("acts", acts))
     for argv in (("tom", "prod(D8,D8)"), ("subgroups", "prod(S3,S3)"),
-                 ("group", "info", "prod(D8,C3)"), ("mackey-check", "D12")):
+                 ("group", "info", "prod(D8,C3)"), ("mackey-check", "D12"),
+                 ("separable", "functor", "prod(S3,S3)", "--ring", "Q")):
         code, _, err = run_cli(capsys, *argv)
         assert (code, err, calls) == (0, "", []), argv
     # the counters are live: outside input is still checked

@@ -302,7 +302,7 @@ def test_commutant_sufficiency_by_explicit_sets(spec):
         rep = lat_g.class_rep(cj)
         members = [x * n + x for x in rep.members]
         ci = lat_gg.class_of[lat_gg.subgroup_index(members)]
-        from burnside.algebra import transitive_of_class
+        from burnside.gsets import transitive_of_class
         x = transitive_of_class(gg, ci)
         left = induce_along(x, _embed_delta_g(g), ggg)
         right = induce_along(x, _embed_d13(g), ggg)
