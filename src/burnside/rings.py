@@ -1,9 +1,14 @@
-"""Coefficient rings Z, Q, Z/m and exact linear algebra over them.
+"""Coefficient rings Z, Q and Z/m, and exact linear algebra over Z and Z/m.
 
 Ring elements are plain Python values: arbitrary-precision ``int`` for Z,
 ``fractions.Fraction`` for Q, and a reduced residue ``int`` in [0, m) for
-Z/m.  The ring objects below normalise, combine and render them.  No
-floating point is used anywhere.
+Z/m.  The ring objects below normalise, combine and render them, and
+refuse a value that is not integral over Z or Z/m rather than truncate
+it.  No floating point is used anywhere.
+
+``solve_linear`` solves over Z and Z/m only.  A verdict of this package
+fails only when |G| is not a unit in the ring, which never happens over
+Q, so every unsolvability certificate it gives is over Z or Z/m.
 """
 
 from __future__ import annotations
@@ -13,7 +18,20 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .errors import DimensionMismatchError, NotInvertibleError, ParseError
+from .errors import (
+    DimensionMismatchError,
+    NotInvertibleError,
+    ParseError,
+    RingMismatchError,
+)
+
+
+def _integer(n, ring):
+    """n as an int: an int, or a Fraction with denominator 1; any other
+    value raises RingMismatchError rather than being truncated."""
+    if isinstance(n, (int, Fraction)) and n.denominator == 1:
+        return int(n)
+    raise RingMismatchError(f"{n!r} is not an integer over {ring.spec}")
 
 
 @dataclass(frozen=True)
@@ -21,7 +39,7 @@ class IntegerRing:
     spec: str = field(default="Z", init=False)
 
     def from_int(self, n):
-        return int(n)
+        return n if type(n) is int else _integer(n, self)
 
     def add(self, a, b):
         return a + b
@@ -103,7 +121,7 @@ class ModularRing:
         return f"Z/{self.m}"
 
     def from_int(self, n):
-        return int(n) % self.m
+        return (n if type(n) is int else _integer(n, self)) % self.m
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -177,7 +195,8 @@ class Matrix:
     def from_sparse(cls, ring, cols, rows):
         """The matrix of {column: value} rows, values normalised into the
         ring; a column that is not an int in 0..cols-1 raises
-        DimensionMismatchError."""
+        DimensionMismatchError, and a value the ring refuses
+        RingMismatchError."""
         sparse = []
         for row in rows:
             try:  # at C speed: a float or Fraction column makes the sum one
@@ -216,7 +235,7 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact elimination over Z, Z/m and Q
+# Sparse exact elimination over Z and Z/m
 # ---------------------------------------------------------------------------
 
 class _Elimination:
@@ -246,9 +265,8 @@ class _Elimination:
     only by a swap with t, whose other position is the pivot's or that of
     a row holding column t, so the list needs no other upkeep.
 
-    All three rings share this block.  Z and Z/m use all of it; the
-    Gauss-Jordan over Q uses only the rows, b and ``holders``, and never
-    swaps or touches a column.
+    ``_snf_int`` over Z and ``_diagonalize_mod`` over Z/m both drive
+    this block, each in its own operation order.
     """
 
     def __init__(self, rows, ncols, b, m=0):
@@ -303,6 +321,18 @@ class _Elimination:
                     break
         del alive[kept:n + 1]
         return None if best is None else best[1:]
+
+    def place_pivot(self, t):
+        """Swap the ``pivot`` found from step t to (t, t); False when the
+        rows from t on are all zero."""
+        pos = self.pivot(t)
+        if pos is None:
+            return False
+        if pos[0] != t:
+            self.swap_rows(pos[0], t)
+        if pos[1] != t:
+            self.swap_cols(pos[1], t)
+        return True
 
     def swap_rows(self, p, q):
         """Swap the rows at positions p and q, with their targets."""
@@ -387,14 +417,7 @@ def _snf_int(rows, ncols, b):
     e = _Elimination(rows, ncols, b)
     rat, cat = e.rat, e.cat
     t = 0
-    while t < min(len(rows), ncols):
-        pos = e.pivot(t)
-        if pos is None:
-            break
-        if pos[0] != t:
-            e.swap_rows(pos[0], t)
-        if pos[1] != t:
-            e.swap_cols(pos[1], t)
+    while t < min(len(rows), ncols) and e.place_pivot(t):
         pi, pj = rat[t], cat[t]
         prow = rows[pi]
         p = prow[pj]
@@ -434,14 +457,7 @@ def _diagonalize_mod(rows, ncols, b, m):
     e = _Elimination(rows, ncols, b, m)
     rat, cat, rpos, cpos = e.rat, e.cat, e.rpos, e.cpos
     t = 0
-    while t < min(len(rows), ncols):
-        pos = e.pivot(t)
-        if pos is None:
-            break
-        if pos[0] != t:
-            e.swap_rows(pos[0], t)
-        if pos[1] != t:
-            e.swap_cols(pos[1], t)
+    while t < min(len(rows), ncols) and e.place_pivot(t):
         dirty = True
         while dirty:
             dirty = False
@@ -473,8 +489,8 @@ def _diagonalize_mod(rows, ncols, b, m):
 class Solution:
     """A particular solution plus a spanning set of the homogeneous kernel.
 
-    Over Q the kernel list is a basis; over Z and Z/m it is a spanning set
-    of the solution module (which need not be free).
+    The kernel list spans the solution module over Z or Z/m, which need
+    not be free.
     """
 
     particular: list
@@ -489,79 +505,23 @@ class NoSolution:
 
 
 def solve_linear(a: Matrix, b):
-    """Solve a*x = b over the matrix ring; returns Solution or NoSolution.
+    """Solve a*x = b over Z or Z/m; returns Solution or NoSolution.
 
-    Over every ring the deduplicated rows and their targets go to the
-    sparse elimination, which returns U*b without U ever being formed:
-    Smith form over Z, diagonalization mod m over Z/m, Gauss-Jordan over Q.
+    The deduplicated rows and their targets go to the sparse elimination,
+    which returns U*b without U ever being formed: Smith form over Z,
+    diagonalization mod m over Z/m.  A matrix over Q raises
+    RingMismatchError: no verdict of this package solves over Q.
     """
     ring = a.ring
+    if isinstance(ring, RationalRing):
+        raise RingMismatchError("solve_linear solves over Z and Z/m, not Q")
     b = [ring.from_int(x) for x in b]
     if len(b) != a.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.rows} rows")
     rows, rhs = _dedup_rows(a.sparse, b)
-    if isinstance(ring, RationalRing):
-        return _solve_rational(rows, a.cols, rhs)
     if isinstance(ring, IntegerRing):
         return _solve_integer(*_snf_int(rows, a.cols, rhs))
     return _solve_modular(*_diagonalize_mod(rows, a.cols, rhs, ring.m), ring.m)
-
-
-def _solve_rational(rows, ncols, b):
-    """Gauss-Jordan over Q on the sparse block, with b carried.
-
-    Columns are taken in order; the pivot of column j is the live row
-    holding it with the fewest nonzeros, ties going to the least row id,
-    which keeps fill-in down.  It is cleared from every other row holding
-    j, finished pivot rows included, before it leaves ``live``.  Rows are
-    never scaled: the particular solution (zero on the free columns) and
-    one kernel vector per free column are read off divided by the pivots.
-    They are those of the reduced echelon form, which is unique, so they
-    depend neither on the choice of pivot rows nor on the dedup.  A live
-    row ends as 0 = residual; the first nonzero one, by row id among the
-    deduplicated rows, is the ``rank_mismatch`` certificate, so which row
-    is reported depends on the pivot rule, which decides the rows left
-    live.  No command reaches any of it: over Q ``separable ring`` is
-    always positive and reads its verdict off the idempotents,
-    ``derivations`` is 0 by the checked Casimir element, and the
-    commutant is read off the loops of its clusters.  Only the tests and
-    library callers of ``solve_linear`` over Q run it.
-    """
-    e = _Elimination(rows, ncols, b)
-    live = set(range(len(rows)))
-    pivot_col = {}  # pivot row id -> its column
-    for j in range(ncols):
-        holding = e.holders[j] & live
-        if not holding:
-            continue
-        p = min(holding, key=lambda i: (len(rows[i]), i))
-        x = rows[p][j]
-        for i in [i for i in e.holders[j] if i != p]:
-            e.add_row(p, i, -rows[i][j] / x)
-        live.discard(p)
-        pivot_col[p] = j
-    for i in sorted(live):
-        if b[i]:
-            return NoSolution({
-                "kind": "rank_mismatch",
-                "row": i,
-                "residual": str(b[i]),
-            })
-    particular = [Fraction(0)] * ncols
-    for p, j in pivot_col.items():
-        particular[j] = b[p] / rows[p][j]
-    pivots = set(pivot_col.values())
-    kernel = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p in e.holders[f]:  # pivot rows only: the live rows are zero
-            j = pivot_col[p]
-            vec[j] = -rows[p][f] / rows[p][j]
-        kernel.append(vec)
-    return Solution(particular, kernel)
 
 
 def _dedup_rows(a, b):

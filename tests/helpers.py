@@ -431,21 +431,23 @@ def dense_diagonalize_mod(a, m):
 
 
 # ---------------------------------------------------------------------------
-# Dense Gauss-Jordan over Q: the reference for the sparse rational solve in
-# burnside.rings.  The two pick different pivot rows, so they agree on the
-# reduced echelon form that is read off, not operation for operation.
+# Dense Gauss-Jordan over Q: the solve over Q that burnside.rings.solve_linear
+# refuses, for the tests that check a rational answer against a direct solve.
 # ---------------------------------------------------------------------------
 
-def dense_solve_rational(a, b):
+def dense_solve_rational(a: Matrix, b):
     """Dense Gauss-Jordan over Q on [a | b], scaling each pivot row to 1.
 
-    a holds rows of Fractions and b their targets.  The kernel has one
-    vector per free column; a row left as 0 = residual != 0 gives a
-    ``rank_mismatch`` certificate at its position after the row swaps.
+    The solve over Q that ``solve_linear`` refuses, as an oracle: b holds
+    the targets of a's rows.  The particular solution (zero on the free
+    columns) and the kernel, one vector per free column, are read off
+    the reduced echelon form, which is unique.  A row left as
+    0 = residual != 0 gives a ``rank_mismatch`` certificate at its
+    position after the row swaps.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
+    rows, cols = a.rows, a.cols
+    m = [[Fraction(x) for x in row] + [Fraction(bb)]
+         for row, bb in zip(a.entries, b)]
     pivots = []
     rank = 0
     for j in range(cols):
@@ -623,9 +625,10 @@ def solved_commutant(g: Group, gg: Group, ring, cls_of):
 
     One row per stabilizer cluster holds each class ci of gg = G x G whose
     two inductions fall in different clusters, as +1 in the row of the
-    first and -1 in the row of the second; the kernel over the ring is
-    the commutant.  It matches the diagonal span when every solution is
-    supported on diagonal classes and every diagonal class is a loop.
+    first and -1 in the row of the second; the kernel over the ring
+    (by ``dense_solve_rational`` over Q) is the commutant.  It matches
+    the diagonal span when every solution is supported on diagonal
+    classes and every diagonal class is a loop.
     """
     n = subgroup_lattice(gg).class_count
     n_clusters = max(cls_of) + 1
@@ -634,7 +637,8 @@ def solved_commutant(g: Group, gg: Group, ring, cls_of):
         if cls_of[2 * ci] != cls_of[2 * ci + 1]:
             rows[cls_of[2 * ci]][ci] = 1
             rows[cls_of[2 * ci + 1]][ci] = -1
-    res = solve_linear(Matrix.from_sparse(ring, n, rows), [ring.zero] * n_clusters)
+    solve = dense_solve_rational if ring == QQ else solve_linear
+    res = solve(Matrix.from_sparse(ring, n, rows), [ring.zero] * n_clusters)
     assert isinstance(res, Solution), "a homogeneous system is solvable"
     solutions = [BurnsideElement(gg, ring, dict(enumerate(vec)))
                  for vec in res.kernel]

@@ -37,7 +37,7 @@ from burnside.groups import (
 )
 from burnside.gsets import decompose, fixed_points, product, transitive
 from burnside.rings import QQ, ZZ, Matrix, Solution, Zmod, solve_linear
-from helpers import idempotent_by_full_scan
+from helpers import dense_solve_rational, idempotent_by_full_scan
 
 TEST_SPECS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8"]
 
@@ -128,6 +128,17 @@ def test_non_integral_coefficient_is_refused_not_truncated(ring):
     # an integral Fraction is the integer it equals
     two = BurnsideElement(s3, ring, {0: Fraction(4, 2)})
     assert multiply(two, one) == BurnsideElement.basis(s3, ring, 0).scale(2)
+
+
+def test_equal_residues_give_equal_elements():
+    # multiply and marks_vector already treat 7, 2 and -3 alike mod 5
+    s3 = build_group("S3")
+    ring = Zmod(5)
+    elements = [BurnsideElement(s3, ring, {0: c, 3: 1}) for c in (7, 2, -3)]
+    assert all(a == elements[1] for a in elements)
+    assert len({hash(a) for a in elements}) == 1
+    assert all(a.coeffs == {0: 2, 3: 1} for a in elements)
+    assert BurnsideElement(s3, ring, {0: 10, 3: 5}) == BurnsideElement.zero(s3, ring)
 
 
 @pytest.mark.parametrize("ci", [-1, 4, 99])
@@ -488,7 +499,8 @@ def test_invert_integral_obstruction():
 
 
 def _invert_by_linear_solve(a):
-    """Cross-check oracle: solve a*x = [G/G] directly over the ring."""
+    """Cross-check oracle: solve a*x = [G/G] directly over the ring, by
+    the dense oracle over Q."""
     g, ring = a.group, a.ring
     n = subgroup_lattice(g).class_count
     cols = []
@@ -501,7 +513,8 @@ def _invert_by_linear_solve(a):
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
     rhs = [ring.zero] * n
     rhs[n - 1] = ring.one
-    res = solve_linear(Matrix.from_rows(ring, rows), rhs)
+    solve = dense_solve_rational if ring == QQ else solve_linear
+    res = solve(Matrix.from_rows(ring, rows), rhs)
     if isinstance(res, Solution):
         return BurnsideElement(g, ring, dict(enumerate(res.particular)))
     return None
@@ -587,8 +600,7 @@ def test_invert_never_solves_a_linear_system(monkeypatch):
         raise AssertionError("invert reached the linear solver")
 
     assert not hasattr(burnside.algebra, "solve_linear")
-    for name in ("solve_linear", "_solve_rational", "_snf_int",
-                 "_diagonalize_mod"):
+    for name in ("solve_linear", "_snf_int", "_diagonalize_mod"):
         monkeypatch.setattr(burnside.rings, name, refuse)
     for spec in ("prod(C2,C2)", "D8", "S4"):
         g = build_group(spec)

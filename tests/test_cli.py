@@ -422,6 +422,20 @@ def test_rational_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec", ["C2", "S3", "D8", "Q8", "prod(C2,C3)"])
+def test_rational_commands_solve_nothing(capsys, spec):
+    # solve_linear refuses Q, so a command that reached it would end in
+    # E_INTERNAL: over Q every answer is read off the idempotents, the
+    # checked Casimir element or the loops of the commutant's clusters
+    for words, tail in ((("separable", "ring"), ()), (("separable", "functor"), ()),
+                        (("derivations",), ()), (("commutant",), ()),
+                        (("idempotents",), ()), (("gamma",), ("--invert",))):
+        code, out, err = run_cli(capsys, *words, spec, *tail, "--ring", "Q",
+                                 "--json")
+        assert (code, err) == (0, ""), (words, err)
+        json.loads(out)
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("subgroups", "S5"),
      "bbc444383691ed6f565dc6b7e9c8e0e278de99050a175bd46707eb5b96e04a23"),

@@ -24,9 +24,9 @@ from burnside.gsets import (
     regular,
     transitive,
 )
-from burnside.rings import QQ, Matrix, Solution, solve_linear
+from burnside.rings import QQ, Matrix, Solution
 
-from helpers import _embed_d13, _embed_delta_g, bareiss_det
+from helpers import _embed_d13, _embed_delta_g, bareiss_det, dense_solve_rational
 
 GROUPS = ["C1", "C2", "C3", "C4", "prod(C2,C2)", "S3", "D8", "Q8"]
 
@@ -43,7 +43,7 @@ def test_idempotents_match_ghost_route(spec):
     idems = idempotent_system(g, QQ)
     for i in range(n):
         rhs = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        res = solve_linear(Matrix.from_rows(QQ, mt), rhs)
+        res = dense_solve_rational(Matrix.from_rows(QQ, mt), rhs)
         assert isinstance(res, Solution) and not res.kernel
         assert BurnsideElement(g, QQ, dict(enumerate(res.particular))) == idems[i]
 

@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from burnside.algebra import BurnsideElement, invert, mult_matrix
+import burnside.rings
+from burnside.algebra import BurnsideElement, invert
 from burnside.bisets import gamma
-from burnside.errors import DimensionMismatchError, NotInvertibleError, ParseError
-from burnside.groups import build_group, squared, subgroup_lattice
+from burnside.errors import (
+    DimensionMismatchError,
+    NotInvertibleError,
+    ParseError,
+    RingMismatchError,
+)
+from burnside.groups import build_group
 from burnside.rings import (
     QQ,
     ZZ,
@@ -21,7 +27,6 @@ from burnside.rings import (
     solve_linear,
 )
 from burnside.separability import (
-    _stabilizer_clusters,
     casimir_linear_system,
     commutant_basis,
     derivation_space,
@@ -117,6 +122,28 @@ def test_modular_normalisation():
     assert r.inv(2) == 3
     with pytest.raises(NotInvertibleError):
         Zmod(4).inv(2)
+    # an integral Fraction is the integer it equals
+    assert r.from_int(Fraction(-6, 2)) == 2 and ZZ.from_int(Fraction(14, 2)) == 7
+    assert type(r.from_int(Fraction(-6, 2))) is type(ZZ.from_int(Fraction(7))) is int
+
+
+def test_non_integral_rhs_is_refused_not_truncated():
+    # int(7/2) would solve x = 3
+    with pytest.raises(RingMismatchError, match="not an integer over Z$"):
+        solve_linear(Matrix.from_rows(ZZ, [[1]]), [Fraction(7, 2)])
+
+
+def test_non_integral_matrix_entry_is_refused_not_truncated():
+    # int() would store [[3/2, 2.9]] as ((0, 1), (1, 2))
+    for row in ([Fraction(3, 2), 2.9], [1, 2.9]):
+        with pytest.raises(RingMismatchError, match="not an integer over Z$"):
+            Matrix.from_rows(ZZ, [row])
+
+
+def test_non_integral_residue_is_refused_not_truncated():
+    # int(2.7) % 5 would be 2
+    with pytest.raises(RingMismatchError, match="^2.7 is not an integer over Z/5$"):
+        Zmod(5).from_int(2.7)
 
 
 @pytest.mark.parametrize("ring,a", [
@@ -234,8 +261,9 @@ def test_all_trivial_system_gives_identity_kernel(ring):
     systems = [[{}, {}], []]  # every row zero; no rows at all
     if ring == Zmod(4):
         systems.append([{0: 4, 1: 8}, {}])  # rows that vanish mod 4
+    solve = dense_solve_rational if ring == QQ else solve_linear
     for rows in systems:
-        res = solve_linear(Matrix.from_sparse(ring, 3, rows), [0] * len(rows))
+        res = solve(Matrix.from_sparse(ring, 3, rows), [0] * len(rows))
         assert isinstance(res, Solution)
         assert res.particular == [0, 0, 0]
         assert res.kernel == identity
@@ -248,19 +276,15 @@ def test_solve_dimension_mismatch():
         solve_linear(Matrix.from_rows(ZZ, [[1, 2]]), [1, 2])
 
 
-def test_solve_rational_properties():
-    rng = random.Random(7)
-    for _ in range(30):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        b = [sum(r * v for r, v in zip(row, x)) for row in a]
-        res = solve_linear(Matrix.from_rows(QQ, a), b)
-        assert isinstance(res, Solution)
-        assert [sum(r * v for r, v in zip(row, res.particular)) for row in a] == b
-        for k in res.kernel:
-            assert all(sum(r * v for r, v in zip(row, k)) == 0 for row in a)
+def test_solve_refuses_q(monkeypatch):
+    # no verdict solves over Q: refused before the rows are deduplicated
+    def refuse(*args):
+        raise AssertionError("rows deduplicated for a solve over Q")
+
+    monkeypatch.setattr(burnside.rings, "_dedup_rows", refuse)
+    for a, b in (([[1]], [1]), ([[1, 2]], [1, 2]), ([], [])):
+        with pytest.raises(RingMismatchError, match="not Q$"):
+            solve_linear(Matrix.from_rows(QQ, a), b)
 
 
 def test_solve_integer_properties():
@@ -417,62 +441,3 @@ def test_sparse_elimination_matches_dense_oracle_on_systems(spec, ring):
         rows, b = _dedup_rows(sparse, b)
         a = [[row.get(j, 0) for j in range(matrix.cols)] for row in rows]
         _assert_matches_dense(a, b, m)
-
-
-def _assert_rational_matches_dense(a, b):
-    """The sparse solve over Q gives the dense oracle's answer, in Fractions."""
-    matrix = Matrix.from_rows(QQ, a)
-    b = [Fraction(x) for x in b]
-    got = solve_linear(matrix, b)
-    want = dense_solve_rational(matrix.entries, b)
-    if isinstance(want, NoSolution):
-        assert isinstance(got, NoSolution)
-        for cert in (got.certificate, want.certificate):
-            assert cert["kind"] == "rank_mismatch"
-            assert Fraction(cert["residual"]) != 0
-        return False
-    assert isinstance(got, Solution)
-    assert got.particular == want.particular
-    assert got.kernel == want.kernel
-    assert all(type(x) is Fraction
-               for vec in [got.particular, *got.kernel] for x in vec)
-    return True
-
-
-def test_sparse_rational_matches_dense_oracle():
-    rng = random.Random(60603)
-    entry = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
-    outcomes = set()
-    outcomes.add(_assert_rational_matches_dense([], []))
-    for rows, cols in _random_shapes(rng) * 3:
-        a = _random_matrix(rng, rows, cols, entry)
-        if rng.random() < 0.4:
-            a += [list(row) for row in rng.sample(a, rng.randint(1, rows))]
-        x = [entry() for _ in range(cols)]
-        b = [sum(r * v for r, v in zip(row, x)) for row in a]
-        if rng.random() < 0.4:
-            b[rng.randrange(len(b))] += entry() or 1
-        outcomes.add(_assert_rational_matches_dense(a, b))
-    assert outcomes == {False, True}
-
-    for spec in ("S3", "D8", "S4"):
-        g = build_group(spec)
-        matrix, rhs = casimir_linear_system(g, QQ)
-        assert _assert_rational_matches_dense(matrix.entries, rhs)
-        leibniz = leibniz_system(g, QQ)
-        assert _assert_rational_matches_dense(leibniz.entries, [0] * leibniz.rows)
-        n = subgroup_lattice(g).class_count
-        one = [1 if j == n - 1 else 0 for j in range(n)]
-        unit = BurnsideElement(g, QQ, {j: Fraction(j + 1, j + 2) for j in range(n)})
-        for a in (gamma(g, QQ), unit):
-            assert _assert_rational_matches_dense(mult_matrix(a), one)
-
-    for spec in ("S3", "D8"):
-        g = build_group(spec)
-        gg = squared(g)
-        cls_of = _stabilizer_clusters(g, gg)
-        rows = [[0] * (len(cls_of) // 2) for _ in range(max(cls_of) + 1)]
-        for ci in range(len(cls_of) // 2):
-            rows[cls_of[2 * ci]][ci] += 1
-            rows[cls_of[2 * ci + 1]][ci] -= 1
-        assert _assert_rational_matches_dense(rows, [0] * len(rows))

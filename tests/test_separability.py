@@ -59,6 +59,7 @@ from burnside.bisets import product_of
 from helpers import (
     _embed_d13,
     _embed_delta_g,
+    dense_solve_rational,
     fraction_tensor_act_left,
     fraction_tensor_act_right,
     fraction_tensor_mu,
@@ -554,7 +555,8 @@ def test_leibniz_kernel_is_empty_when_the_order_is_a_unit(spec, ring):
     g = build_group(spec)
     assert ring.is_unit(ring.from_int(g.order))
     matrix = leibniz_system(g, ring)
-    res = solve_linear(matrix, [ring.zero] * matrix.rows)
+    solve = dense_solve_rational if ring == QQ else solve_linear
+    res = solve(matrix, [ring.zero] * matrix.rows)
     assert isinstance(res, Solution) and res.kernel == []
     assert derivation_space(g, ring).is_zero()
 
