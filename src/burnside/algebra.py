@@ -176,10 +176,13 @@ def structure_constants(g: Group, i: int, j: int) -> dict:
 class BurnsideElement:
     """An element of the Burnside algebra: class index -> coefficient.
 
-    Int coefficients are put in ring form (reduced mod m over Z/m) and
-    zeros dropped on construction, so equal elements have equal
-    coefficient dictionaries.  A class index outside 0..n-1, n the
-    number of subgroup classes, or one that is not an int, raises
+    Int coefficients, and Fractions with denominator 1, are put in ring
+    form (reduced mod m over Z/m) and zeros dropped on construction, so
+    equal elements have equal coefficient dictionaries.  A value that is
+    neither an int nor a Fraction, a float among them, raises
+    RingMismatchError there; a non-integral Fraction is kept, for
+    ``lift`` to refuse over Z and Z/m.  A class index outside 0..n-1, n
+    the number of subgroup classes, or one that is not an int, raises
     NotContainedError.  ``BurnsideElement._built`` skips that check, and
     the lattice lookup it needs, for keys read off the lattice itself.
     """
@@ -191,9 +194,10 @@ class BurnsideElement:
         self.ring = ring
         if not _trusted:
             _check_class_indices(group, coeffs)
-            # equal residues give equal elements; lift refuses a non-int
-            coeffs = {k: ring.from_int(v) if type(v) is int else v
-                      for k, v in coeffs.items()}
+            # equal residues give equal elements; a non-integral Fraction
+            # is a value over Q, and lift refuses it over Z and Z/m
+            coeffs = {k: v if type(v) is Fraction and v.denominator != 1
+                      else ring.from_int(v) for k, v in coeffs.items()}
         self.coeffs = {k: coeffs[k] for k in sorted(coeffs)
                        if not ring.is_zero(coeffs[k])}
 

@@ -22,17 +22,18 @@ Subgroups are found by cyclic extension over bitmasks: one
 representative per conjugacy class is joined with cyclic subgroups of
 prime-power order, and each new subgroup brings in its conjugation orbit
 (Neubueser's method, as in Pfeiffer 1997).  A join <H, z> is built one
-left coset of H at a time.  A cyclic subgroup inside a join in which
-H already has prime index is skipped, since it would give that join
-again, and so is a conjugate under H of one already joined, since it
-would give a conjugate of that join.  The subgroups are sorted by
-(order, members), and classes are numbered in the order their first
-member comes.  Containment is read from one index, built on first use:
-one bitset per element of the subgroups that hold it.  The supergroups
-of K are the AND of those bitsets over K's members.  The subgroups
-below each subgroup, the table of marks (with no G-set built) and the
-Moebius rows mu(K, -), each computed when a K is first asked for, all
-read K's supergroups from there.  The lattice also keeps the integer
+left coset of H at a time, and only for a z whose p-th power lies in H.
+A cyclic subgroup inside a subgroup found in which H has prime index
+is skipped, since it would give that subgroup again, and so is a
+conjugate under H of one already joined, since it would give a
+conjugate of that join.  The subgroups are sorted by (order, members),
+and classes are numbered in the order their first member comes.
+Containment is read from one index, built on first use: one bitset per
+element of the subgroups that hold it.  The supergroups of K are the
+AND of those bitsets over K's members.  The subgroups below each
+subgroup, the table of marks (with no G-set built) and the Moebius rows
+mu(K, -), each computed when a K is first asked for, all read K's
+supergroups from there.  The lattice also keeps the integer
 numerators of the primitive idempotents, which no ring enters, so every
 ring after the first reads them without a Moebius row.
 Lattices live in one bounded LRU keyed by structural equality, so
@@ -434,15 +435,23 @@ class SubgroupLattice:
 
         mu(K, K) = 1 and mu(K, H) = -sum of mu(K, L) over K <= L < H.  The
         H run over ``_above(k)``, which is increasing, and the subgroups
-        are sorted by order, so each L comes before H.
+        are sorted by order, so each L comes before H.  The L are read from
+        the shorter of two lists: ``below[h]`` without H, whose members
+        above K are the ones in the row so far, or the earlier supergroups
+        of K, tested for lying in H.  Near the bottom of the lattice the
+        first is shorter, near the top the second.
         """
-        masks = [s.mask for s in self.subgroups]
+        subgroups, below = self.subgroups, self.below
         sups = self._above(k)
-        row = {}
-        for j, h in enumerate(sups):
-            mh = masks[h]
-            row[h] = 1 if h == k else -sum(
-                row[l] for l in sups[:j] if masks[l] & mh == masks[l])
+        row = {k: 1}
+        for j in range(1, len(sups)):
+            h = sups[j]
+            if len(below[h]) <= j:
+                row[h] = -sum(row.get(l, 0) for l in below[h][:-1])
+            else:
+                mh = subgroups[h].mask
+                row[h] = -sum(row[l] for l in sups[:j]
+                              if subgroups[l].mask & mh == subgroups[l].mask)
         return row
 
     @functools.cached_property
@@ -488,21 +497,20 @@ class SubgroupLattice:
         |(G/H)^K| = |N_G(H):H| * #{H' in cl(H) : K <= H'}, since
         |N_G(H):H| = |G| / (|H| |cl(H)|).  Classes are sorted by order, so
         the table is lower triangular with |N_G(H_i):H_i| on the diagonal.
-        The supergroups of each column rep, ``_above`` its index, are
-        counted per class.
+        Each supergroup H' of the column rep K_j, ``_above`` its index,
+        adds |N_G(H):H| to entry [i][j] of its class i, so the rows are
+        filled in place and no column is transposed.
         """
-        cols = []
-        for c in self.classes:
-            count = [0] * self.class_count
+        class_of, n = self.class_of, self.class_count
+        scale = [self.group.order // (self.class_rep(i).order
+                                      * len(c.member_indices))
+                 for i, c in enumerate(self.classes)]
+        rows = [[0] * n for _ in range(n)]
+        for j, c in enumerate(self.classes):
             for h in self._above(c.rep_index):
-                count[self.class_of[h]] += 1
-            cols.append(count)
-        rows = []
-        for i, c in enumerate(self.classes):
-            scale = self.group.order // (self.class_rep(i).order
-                                         * len(c.member_indices))
-            rows.append(tuple(scale * col[i] for col in cols))
-        return tuple(rows)
+                i = class_of[h]
+                rows[i][j] += scale[i]
+        return tuple(map(tuple, rows))
 
     @functools.cached_property
     def marks_rows(self):
@@ -611,19 +619,24 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     """Enumerate all subgroups of g with their conjugacy classes.
 
     Enumeration is by cyclic extension (Neubueser; Pfeiffer 1997): starting
-    from the trivial subgroup, one representative of each class is joined
-    with every cyclic subgroup of prime-power order (zuppo) it does not
-    contain.  Every subgroup is the join of a chain of zuppos and the
-    conjugates of a zuppo are zuppos, so this reaches every class, perfect
-    subgroups included.  A join not seen before brings in its whole
-    conjugation orbit, which is its class.  Once a join K = <H, z> has
-    prime index over H, H is maximal in K, so <H, z'> = K for every zuppo
-    <z'> inside K but not H; such zuppos are skipped, which leaves the
-    subgroups found, and the order they are found in, unchanged.  For h
-    in H, <H, z^h> = <H, z>^h is conjugate to <H, z>, so once z is joined
-    the other zuppos in its orbit under conjugation by H's generators are
-    skipped as well: their joins would only give a class already found.
-    A generator that fixes every zuppo is left out of that action.
+    from the trivial subgroup, one representative H of each class is
+    joined with cyclic subgroups <z> of prime-power order (zuppos) that it
+    does not contain.  A join not seen before brings in its whole
+    conjugation orbit, which is its class.  Only a zuppo whose z^p lies in
+    H is joined, p the prime of |z|.  That reaches every class, perfect
+    subgroups included: a subgroup K is generated by its zuppos, and
+    adding them to the trivial group from the smallest order up, each
+    z^p is 1 or generates a smaller zuppo of K, which is already in.  The
+    conjugates of a zuppo are zuppos, so the chain carries over to the
+    class representative of each step.  Two more kinds of zuppo are
+    skipped, since their joins could only give a class already found.
+    Once some subgroup L found so far holds H with prime index, H is
+    maximal in L, so <H, z> = L for every z in L but not in H.  For h in
+    H, <H, z^h> = <H, z>^h, so once z is joined the other zuppos in its
+    orbit under conjugation by H's generators give conjugates of that
+    join; a generator that fixes every zuppo is left out of that action.
+    The subgroups found, and so the sorted listing, are the same as with
+    no skip; only the order in which the classes are met changes.
     ResourceBoundError is raised as soon as more than DEFAULT_SUBGROUP_CAP
     subgroups are found.  The result is kept in an LRU of the
     LATTICE_CACHE_SIZE most recent groups.
@@ -639,12 +652,16 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
     zuppos = {}  # mask of each zuppo -> its number, in first-seen order
     zid = {}  # element of prime-power order -> number of its zuppo
     zgens = []  # the least generator of each zuppo
+    zpows = []  # z^p for each such generator z, p the prime of |z|
     for x in g.elements():
         members, mask, _ = _join(mul, [e], 1 << e, (), x)
         if len(members) > 1 and _is_prime_power(len(members)):
             zid[x] = i = zuppos.setdefault(mask, len(zuppos))
             if i == len(zgens):
                 zgens.append(x)
+                # _join lists <x> as e, x, x^2, ..., so x^p is at p mod |x|
+                p = next(p for p in itertools.count(2) if len(members) % p == 0)
+                zpows.append(members[p % len(members)])
 
     @functools.cache
     def zmap(s):  # zuppo numbers under conjugation by s; None if all fixed
@@ -653,25 +670,38 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
         return None if m == tuple(range(len(m))) else m
 
     # a central generator conjugates every subgroup to itself, which is
-    # already in orbit_of, so only the others are kept
+    # already in orbit_of, so only the others are kept; each is kept with
+    # the bit of each image, so a conjugate's mask is one sum
     identity = tuple(g.elements())
-    conj_by = [perm for s in g.generators
+    conj_by = [(perm, [1 << x for x in perm]) for s in g.generators
                if (perm := tuple(g.conj(s, x) for x in g.elements())) != identity]
     orbit_of = {1 << e: 0}  # subgroup mask -> number of its class
+    # the subgroups found so far, numbered n as registered: found[n] is
+    # (sorted members, mask), holds[x] the bitset of the n holding x and
+    # of_order[o] that of the n of order o.  An index is a prime dividing |G|.
+    found, holds, of_order = [((e,), 1 << e)], [0] * g.order, {1: 1}
+    holds[e] = 1
     reps = [([e], 1 << e, ())]  # (members, mask, generators) per class
-    primes = {p for p in range(2, g.order + 1) if _is_prime(p)}
+    primes = {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)}
     for members, mask, gens in reps:  # also visits the classes it appends
-        # covered: H and the joins in which H has prime index; a zuppo lies
-        # in one of them when its generator does.  tried: the numbers of the
-        # zuppos joined and of their conjugates under H.  Only generators of
-        # H that move some zuppo act, and none does when g is abelian.
+        # covered: H and the subgroups found in which H has prime index (a
+        # supergroup holds H's generators); a zuppo lies in one of them when
+        # its generator does.  tried: the numbers of the zuppos joined and of
+        # their conjugates under H.  Only generators of H that move some
+        # zuppo act, and none does when g is abelian.
         maps = conj_by and [m for m in map(zmap, gens) if m]
-        covered, tried = mask, 0
+        covered, tried, order = mask, 0, len(members)
+        sups = functools.reduce(int.__and__, map(holds.__getitem__, gens),
+                                sum(of_order.get(order * p, 0) for p in primes))
+        while sups:
+            n = sups.bit_length() - 1
+            covered |= found[n][1]
+            sups ^= 1 << n
         for i, z in enumerate(zgens):
-            if covered >> z & 1 or tried >> i & 1:
+            if not mask >> zpows[i] & 1 or covered >> z & 1 or tried >> i & 1:
                 continue
             k = _join(mul, members, mask, gens, z)
-            if len(k[0]) // len(members) in primes:
+            if len(k[0]) // order in primes:
                 covered |= k[1]
             if maps:  # <H, z^h> = <H, z>^h for h in H: the same class
                 orbit, tried = [i], tried | 1 << i
@@ -683,22 +713,25 @@ def subgroup_lattice(g: Group) -> SubgroupLattice:
             if k[1] in orbit_of:
                 continue
             orbit_of[k[1]] = len(reps)
-            orbit = [k[0]]
-            for h in orbit:  # conjugation by the generators of g
-                for perm in conj_by:
-                    c = [perm[x] for x in h]
-                    cmask = sum(1 << x for x in c)
+            orbit = [k[:2]]
+            for h, hmask in orbit:  # conjugation by the generators of g
+                for perm, bits in conj_by:
+                    cmask = sum(map(bits.__getitem__, h))
                     if cmask not in orbit_of:
                         orbit_of[cmask] = len(reps)
-                        orbit.append(c)
+                        orbit.append((list(map(perm.__getitem__, h)), cmask))
+                bit = 1 << len(found)
+                found.append((tuple(sorted(h)), hmask))
+                of_order[len(h)] = of_order.get(len(h), 0) | bit
+                for x in h:
+                    holds[x] |= bit
             reps.append(k)
             if len(orbit_of) > DEFAULT_SUBGROUP_CAP:
                 raise ResourceBoundError(
                     f"more than {DEFAULT_SUBGROUP_CAP} subgroups in {g.label}")
 
     # each mask was built closed by _join or conjugated from one that was
-    subs = sorted(((tuple(x for x in g.elements() if m >> x & 1), m)
-                   for m in orbit_of), key=lambda sm: (len(sm[0]), sm[0]))
+    subs = sorted(found, key=lambda sm: (len(sm[0]), sm[0]))
     subgroups = tuple(Subgroup._built(g, s, m) for s, m in subs)
 
     # in (order, members) order a class's least member, its representative,

@@ -3,8 +3,9 @@
 Ring elements are plain Python values: arbitrary-precision ``int`` for Z,
 ``fractions.Fraction`` for Q, and a reduced residue ``int`` in [0, m) for
 Z/m.  The ring objects below normalise, combine and render them, and
-refuse a value that is not integral over Z or Z/m rather than truncate
-it.  No floating point is used anywhere.
+refuse a value that is not integral over Z or Z/m, or not an int or a
+Fraction over Q, rather than truncate or approximate it.  No floating
+point is used anywhere.
 
 ``solve_linear`` solves over Z and Z/m only.  A verdict of this package
 fails only when |G| is not a unit in the ring, which never happens over
@@ -75,7 +76,9 @@ class RationalRing:
     spec: str = field(default="Q", init=False)
 
     def from_int(self, n):
-        return Fraction(n)
+        if isinstance(n, (int, Fraction)):
+            return Fraction(n)
+        raise RingMismatchError(f"{n!r} is not an int or a Fraction over Q")
 
     def add(self, a, b):
         return a + b

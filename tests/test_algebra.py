@@ -141,6 +141,28 @@ def test_equal_residues_give_equal_elements():
     assert BurnsideElement(s3, ring, {0: 10, 3: 5}) == BurnsideElement.zero(s3, ring)
 
 
+def test_equal_residues_give_equal_elements_from_fractions():
+    # an integral Fraction is reduced like the int it equals
+    s3 = build_group("S3")
+    ring = Zmod(5)
+    a = BurnsideElement(s3, ring, {0: Fraction(7)})
+    b = BurnsideElement(s3, ring, {0: 2})
+    assert a == b and hash(a) == hash(b)
+    assert a.coeffs == {0: 2} and type(a.coeffs[0]) is int
+    assert marks_vector(a) == marks_vector(b)
+    zero = BurnsideElement(s3, ring, {0: Fraction(-10, 2)})
+    assert zero == BurnsideElement.zero(s3, ring)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, Zmod(5)], ids=lambda r: r.spec)
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1"])
+def test_non_rational_coefficient_is_a_ring_mismatch(ring, bad):
+    # a float or a string is refused as a ring mismatch, never read as a number
+    s3 = build_group("S3")
+    with pytest.raises(RingMismatchError):
+        marks_vector(BurnsideElement(s3, ring, {0: bad}))
+
+
 @pytest.mark.parametrize("ci", [-1, 4, 99])
 def test_element_class_index_must_name_a_class(ci):
     # S3 has 4 classes, so 4 and 99 name none, and -1 must not count from the end

@@ -146,6 +146,18 @@ def test_non_integral_residue_is_refused_not_truncated():
         Zmod(5).from_int(2.7)
 
 
+def test_float_is_refused_over_q():
+    # Fraction(2.7) would be 3039929748475085/1125899906842624
+    with pytest.raises(RingMismatchError, match="^2.7 is not an int or a Fraction"):
+        QQ.from_int(2.7)
+    with pytest.raises(RingMismatchError, match="^0.1 is not an int or a Fraction"):
+        Matrix.from_rows(QQ, [[0.1]])
+    assert QQ.from_int(3) == Fraction(3)
+    assert QQ.from_int(Fraction(1, 2)) == Fraction(1, 2)
+    assert Matrix.from_rows(QQ, [[Fraction(1, 10), 2]]).sparse == (
+        ((0, Fraction(1, 10)), (1, Fraction(2))),)
+
+
 @pytest.mark.parametrize("ring,a", [
     (ZZ, [[0, 3, -7], [12, 0, 0], [0, 0, 0]]),
     (QQ, [[Fraction(1, 2), 0, -3], [0, Fraction(-4, 6), 0], [0, 0, 0]]),
