@@ -14,9 +14,12 @@ integers (residues as they are, rationals over one common denominator),
 map them through the sparse rows of the table, multiply pointwise, and
 come back by exact back-substitution through the same rows, from the
 last class down.  A nonzero remainder there would mean a ghost vector
-outside B(G) and is reported as an internal inconsistency.  The table
-itself comes from the subgroup lattice, which is the only per-group
-cache, so ``multiply``, ``mult_matrix``, ``structure_constants``,
+outside B(G) and is reported as an internal inconsistency.  The sparse
+rows, ``SubgroupLattice.marks_rows``, are the table's primary form: each
+lists a row's nonzero marks and ends on its diagonal, so the kernel
+never builds the dense n x n table; only ``table_of_marks`` (and the
+text form of ``tom``) reads that view.  The table itself comes from
+the subgroup lattice, which is the only per-group cache, so ``multiply``, ``mult_matrix``, ``structure_constants``,
 ``mark`` and ``marks_vector`` share one integer kernel, ``ghost`` and
 ``unghost``, and every other product is read from it: inversion, the
 Casimir and Leibniz systems, and the tensor code, which runs ``ghost``
@@ -77,6 +80,7 @@ class MarksTable:
 
 
 def table_of_marks(g: Group) -> MarksTable:
+    """The dense table of marks of g, the lattice's view of its sparse rows."""
     lat = subgroup_lattice(g)
     return MarksTable(g, tuple(lat.labels()), lat.marks)
 
@@ -150,26 +154,45 @@ def _ghost(a, lat=None) -> tuple:
 def unghost(lat, v) -> list:
     """The integer combination with marks v, by exact back-substitution.
 
-    Row i of the table is the ghost of [G/H_i] and ends on its diagonal,
-    so from the last class down each coefficient is read off the diagonal
-    and its row taken away; classes with nothing left are skipped.
+    Row i of the sparse table, ``lat.marks_rows[i]``, is the ghost of
+    [G/H_i] and ends on its diagonal, so from the last class down each
+    coefficient is read off that last entry and its row taken away;
+    classes with nothing left are skipped.  No row reaches past its
+    diagonal, so v may be cut after its last nonzero mark: the
+    coefficients past it are zero and are not returned.
     """
+    rows = lat.marks_rows
     r, x = list(v), [0] * len(v)
     for i in reversed(range(len(r))):
         if r[i]:
-            x[i], rem = divmod(r[i], lat.marks[i][i])
+            row = rows[i]
+            x[i], rem = divmod(r[i], row[-1][1])
             if rem:
                 raise InternalInconsistencyError(
                     "marks vector outside the image of the Burnside ring")
-            for j, m in lat.marks_rows[i]:
+            for j, m in row:
                 r[j] -= x[i] * m
     return x
+
+
+def _times_row(lat, v, i) -> list:
+    """The coefficients of x * [G/H_i], for the integer combination x with
+    marks v.
+
+    The product's marks are v times row i of the table, which is zero
+    past the diagonal, so only the classes 0..i are unghosted and the
+    rest padded with zeros.
+    """
+    w = [0] * (i + 1)
+    for j, m in lat.marks_rows[i]:
+        w[j] = v[j] * m
+    return unghost(lat, w) + [0] * (lat.class_count - 1 - i)
 
 
 def structure_constants(g: Group, i: int, j: int) -> dict:
     """Coefficients of [G/H_i] * [G/H_j] on the class basis."""
     lat = subgroup_lattice(g)
-    x = unghost(lat, [p * q for p, q in zip(lat.marks[i], lat.marks[j])])
+    x = _times_row(lat, ghost(lat, [(i, 1)]), j)
     return {l: c for l, c in enumerate(x) if c}
 
 
@@ -304,7 +327,7 @@ def mult_matrix(a: BurnsideElement):
     """Matrix of multiplication by a on the class basis: column j holds a*[G/H_j]."""
     lat = subgroup_lattice(a.group)
     va, d = _ghost(a, lat)
-    cols = [unghost(lat, [p * q for p, q in zip(va, row)]) for row in lat.marks]
+    cols = [_times_row(lat, va, j) for j in range(lat.class_count)]
     return [lower(a.ring, row, d) for row in zip(*cols)]
 
 
@@ -447,8 +470,9 @@ def mackey_check(g: Group) -> list:
     [G/C_H(y)] per orbit of H acting on G by conjugation, with no G x G
     group and no G-set built.  It never reads gamma or the ghost kernel,
     which give the right side: gamma's marks are read once, and for each
-    class they are multiplied by the row of [G/H] in the table of marks
-    and brought back to integer coefficients by one ``unghost``.
+    class they are multiplied by the sparse row of [G/H] in the table of
+    marks and brought back to integer coefficients by one ``unghost`` of
+    the classes up to H's.
     """
     lat = subgroup_lattice(g)
     # ZZ's values are the ints themselves
@@ -471,6 +495,5 @@ def _orbit_count(g, lat, ci):
 
 
 def _gamma_times(lat, marks, ci):
-    """gamma * [G/H_ci] as integer coefficients, from gamma's marks: the
-    product's marks are those times row ci of the table."""
-    return unghost(lat, [p * q for p, q in zip(marks, lat.marks[ci])])
+    """gamma * [G/H_ci] as integer coefficients, from gamma's marks."""
+    return _times_row(lat, marks, ci)

@@ -43,14 +43,36 @@ from .separability import (
 _encode = json.JSONEncoder().encode
 
 
+class _SparseRows(tuple):
+    """A square integer matrix given by its nonzeros: row i is a tuple of
+    (j, value) pairs in increasing j, as in ``SubgroupLattice.marks_rows``.
+    ``_indented`` writes it as the dense list of rows."""
+
+    __slots__ = ()
+
+
 def _indented(obj, pad="\n"):
     """``json.dumps(obj, separators=(",", ": "), indent=2)``, byte for byte.
 
     json encodes in pure Python whenever ``indent`` is set; here only the
     layout is written by hand and every leaf goes to the C encoder.  A
-    non-str key is coerced as json does it: encoded, then quoted.
+    non-str key is coerced as json does it: encoded, then quoted.  A
+    ``_SparseRows`` matrix is written as its dense list of rows, each
+    from its nonzeros, with every run of zeros one repeated string.
     """
     inner = pad + "  "
+    if type(obj) is _SparseRows:
+        sep = "," + inner + "  "
+        zero, n, rows = "0" + sep, len(obj), []
+        for row in obj:
+            k, parts = 0, []
+            for j, m in row:
+                parts.append(f"{zero * (j - k)}{m}{sep}")
+                k = j + 1
+            parts.append(zero * (n - k))
+            rows.append("[" + inner + "  " + "".join(parts)[:-len(sep)]
+                        + inner + "]")
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, dict) and obj:
         items = [_encode(k if isinstance(k, str) else _encode(k)) + ": "
                  + _indented(v, inner) for k, v in obj.items()]
@@ -156,15 +178,16 @@ def cmd_subgroups(g, ring, args):
 
 
 def cmd_tom(g, ring, args):
-    tom = table_of_marks(g)
+    lat = subgroup_lattice(g)
     payload = {
         "command": "tom",
         "group": g.label,
-        "labels": list(tom.labels),
-        "matrix": [list(row) for row in tom.matrix],
+        "labels": lat.labels(),
+        "matrix": _SparseRows(lat.marks_rows),
     }
 
-    def lines():
+    def lines():  # the only reader of the dense table
+        tom = table_of_marks(g)
         width = max(len(str(x)) for row in tom.matrix for x in row)
         yield f"table of marks of {g.label} (rows [G/H], columns K)"
         yield "        " + " ".join(f"{l:>{width + 2}}" for l in tom.labels)

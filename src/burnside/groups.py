@@ -31,8 +31,9 @@ and classes are numbered in the order their first member comes.
 Containment is read from one index, built on first use: one bitset per
 element of the subgroups that hold it.  The supergroups of K are the
 AND of those bitsets over K's members.  The subgroups below each
-subgroup, the table of marks (with no G-set built) and the Moebius rows
-mu(K, -), each computed when a K is first asked for, all read K's
+subgroup, the table of marks (kept by its nonzero entries, with no
+G-set built; a dense view is made only when asked for) and the Moebius
+rows mu(K, -), each computed when a K is first asked for, all read K's
 supergroups from there.  The lattice also keeps the integer
 numerators of the primitive idempotents, which no ring enters, so every
 ring after the first reads them without a Moebius row.
@@ -49,7 +50,7 @@ import functools
 import itertools
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 from .errors import (
@@ -374,8 +375,9 @@ class SubgroupLattice:
     numbered as their first member is met, so each class representative
     is its least member and the listing is byte-identical across runs.
     ``_holds`` is the containment index: the bitset, per element, of the
-    subgroups that hold it.  ``_above``, ``below``, ``marks`` and the
-    Moebius rows all read containment from it.
+    subgroups that hold it.  ``_above``, ``below``, ``marks_rows`` (the
+    table of marks by its nonzeros) and the Moebius rows all read
+    containment from it.
     """
 
     def __init__(self, group, subgroups, classes, class_of):
@@ -491,32 +493,43 @@ class SubgroupLattice:
         return tuple(map(tuple, below))
 
     @functools.cached_property
-    def marks(self):
-        """The table of marks: entry [i][j] is |(G/H_i)^K_j| for class reps.
+    def marks_rows(self):
+        """The table of marks by its nonzeros, its primary form.
 
-        |(G/H)^K| = |N_G(H):H| * #{H' in cl(H) : K <= H'}, since
-        |N_G(H):H| = |G| / (|H| |cl(H)|).  Classes are sorted by order, so
-        the table is lower triangular with |N_G(H_i):H_i| on the diagonal.
-        Each supergroup H' of the column rep K_j, ``_above`` its index,
-        adds |N_G(H):H| to entry [i][j] of its class i, so the rows are
-        filled in place and no column is transposed.
+        Row i lists the (j, |(G/H_i)^K_j|) with a nonzero mark, in
+        increasing j, for class reps H_i and K_j.  |(G/H)^K| =
+        |N_G(H):H| * #{H' in cl(H) : K <= H'}, since |N_G(H):H| =
+        |G| / (|H| |cl(H)|).  Classes are sorted by order, so the table is
+        lower triangular and each row ends on its diagonal entry
+        |N_G(H_i):H_i|.  The supergroups H' of each column rep K_j,
+        ``_above`` its index, are counted by class, and each class i met
+        gets the pair (j, |N_G(H_i):H_i| * count); no zero is stored.
         """
-        class_of, n = self.class_of, self.class_count
+        class_of = self.class_of
         scale = [self.group.order // (self.class_rep(i).order
                                       * len(c.member_indices))
                  for i, c in enumerate(self.classes)]
-        rows = [[0] * n for _ in range(n)]
+        rows = [[] for _ in self.classes]
         for j, c in enumerate(self.classes):
-            for h in self._above(c.rep_index):
-                i = class_of[h]
-                rows[i][j] += scale[i]
+            for i, k in Counter(map(class_of.__getitem__,
+                                    self._above(c.rep_index))).items():
+                rows[i].append((j, scale[i] * k))
         return tuple(map(tuple, rows))
 
     @functools.cached_property
-    def marks_rows(self):
-        """The nonzero marks of each row as (j, mark) pairs, in increasing j."""
-        return tuple(tuple((j, m) for j, m in enumerate(row) if m)
-                     for row in self.marks)
+    def marks(self):
+        """The table of marks as a dense n x n view of ``marks_rows``:
+        entry [i][j] is |(G/H_i)^K_j|.  Only ``table_of_marks`` and the
+        text form of ``tom`` read it; the ghost-ring kernel reads the
+        sparse rows."""
+        n = self.class_count
+        out = []
+        for row in self.marks_rows:
+            dense = [0] * n
+            for j, m in row:
+                dense[j] = m
+            out.append(tuple(dense))
+        return tuple(out)
 
     @functools.cached_property
     def idempotent_numerators(self):

@@ -22,6 +22,7 @@ import burnside.algebra
 from burnside.cli import main
 from burnside.gsets import conjugation_gset, from_gset, product, transitive_of_class
 from burnside.rings import ZZ
+from helpers import marks_by_class_masks
 from test_groups import _PERM_GENS, _cycles
 
 SCHEMA_DIR = Path(burnside.cli.__file__).resolve().parent / "schemas"
@@ -52,6 +53,71 @@ def test_tom_json(capsys):
     assert payload["matrix"] == [[2, 0], [1, 1]]
     assert payload["labels"] == ["1#1", "2#1"]
     validate(payload, "tom.schema.json")
+
+
+# C1 to prod(S4,S3), then D8 x D8 and S4 x S3 on points relabelled by a
+# seeded permutation, generators in seeded order
+TOM_SPECS = ("C1", "C2", "S3", "S4", "prod(C2,prod(C2,prod(C2,prod(C2,C2))))",
+             "prod(D8,D8)", "prod(S4,S3)",
+             "perm:(3 1);(7 4 6 2);(8 3 5 1);(7 6)",
+             "perm:(7 1);(6 5 7 1);(4 2);(4 3 2)")
+
+
+@pytest.mark.parametrize("spec", TOM_SPECS)
+def test_tom_json_is_the_dense_table_dumped(capsys, spec):
+    # the writer goes from the sparse rows to the dense layout json.dumps
+    # gives, rows of ones ([G/G]) and of column 0 alone ([G/1]) included;
+    # the dense table is the oracle's, built from the class masks
+    code, out, err = run_cli(capsys, "tom", spec, "--json")
+    lat = burnside.subgroup_lattice(burnside.build_group(spec))
+    dense = {"command": "tom", "group": lat.group.label, "labels": lat.labels(),
+             "matrix": [list(row) for row in marks_by_class_masks(lat)]}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(dense, indent=2) + "\n"
+
+
+def test_tom_text_bytes(capsys):
+    # one sha256 over the text tables, pinned from the dense table that the
+    # lattice built before the sparse rows were the primary form
+    h = hashlib.sha256()
+    for spec in TOM_SPECS:
+        code, text, err = run_cli(capsys, "tom", spec)
+        assert (code, err) == (0, ""), spec
+        h.update(text.encode())
+    assert h.hexdigest() == ("7ca24e66b4b8de3acdfd0973c56e170a"
+                             "f546ca49bfc57a01c4c87e4a47d22033")
+
+
+def _refuse_dense(self):
+    raise AssertionError("a command built the dense table of marks")
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16"])
+@pytest.mark.parametrize("line", [
+    "tom {} --json", "subgroups {}", "separable ring {} --ring Q",
+    "separable ring {} --ring Z", "idempotents {} --ring Q",
+    "gamma {} --ring Q --invert", "mackey-check {}",
+])
+def test_ghost_ring_commands_read_only_the_sparse_marks(capsys, monkeypatch,
+                                                         line, spec):
+    # a property on the class wins over a value cached on a lattice
+    monkeypatch.setattr(burnside.groups.SubgroupLattice, "marks",
+                        property(_refuse_dense))
+    code, out, err = run_cli(capsys, *line.format(spec).split())
+    assert (code, err) == (0, "") and out
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "golden.json").read_text())["queries"]
+
+
+@pytest.mark.parametrize("qid", GOLDEN)
+def test_benchmark_golden_json_bytes(capsys, qid):
+    # the benchmark's seed-0 cold queries, run in process: output drift
+    # fails here as well as in the benchmark's own check
+    code, out, err = run_cli(capsys, *GOLDEN[qid]["argv"], "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[qid]["sha256"]
 
 
 def test_group_info_json(capsys):

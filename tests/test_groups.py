@@ -604,6 +604,13 @@ def test_random_perm_lattices_match_every_zuppo_oracle(gens):
     assert _lattice_layout(subgroup_lattice(g)) == lattice_by_every_zuppo(g)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(gens=_PERM_GENS)
+def test_random_perm_marks_rows_match_class_mask_oracle(gens):
+    lat = subgroup_lattice(build_group("perm:" + ";".join(_cycles(p) for p in gens)))
+    assert lat.marks_rows == _nonzeros(marks_by_class_masks(lat))
+
+
 def test_is_homomorphism_checks_the_identity_and_every_generator():
     c1, c2, c4 = build_group("C1"), build_group("C2"), build_group("C4")
     v4 = build_group("prod(C2,C2)")
@@ -649,14 +656,21 @@ def test_lattice_layout_is_pinned(spec, digest):
     assert hashlib.sha256(json.dumps(layout).encode()).hexdigest()[:16] == digest
 
 
+def _nonzeros(matrix):
+    return tuple(tuple((j, m) for j, m in enumerate(row) if m) for row in matrix)
+
+
 @pytest.mark.parametrize("spec", ["S4", "D16", "prod(S3,S3)", C2_5, "prod(S4,C2)",
                                   A5, "prod(D8,S3)", "prod(C3,S4)", "prod(D8,D8)",
                                   "S5", "prod(D12,D12)"])
 def test_marks_match_class_mask_oracle(spec):
     # the lattice-ladder groups: the supergroup walk against the formula it
-    # replaced, which tests every class member against every column rep
+    # replaced, which tests every class member against every column rep;
+    # the sparse rows are the primary form and the dense table their view
     lat = subgroup_lattice(build_group(spec))
-    assert lat.marks == marks_by_class_masks(lat)
+    oracle = marks_by_class_masks(lat)
+    assert lat.marks_rows == _nonzeros(oracle)
+    assert lat.marks == oracle
 
 
 @pytest.mark.parametrize("spec", LADDER_SPECS)
