@@ -190,8 +190,13 @@ def _times_row(lat, v, i) -> list:
 
 
 def structure_constants(g: Group, i: int, j: int) -> dict:
-    """Coefficients of [G/H_i] * [G/H_j] on the class basis."""
+    """Coefficients of [G/H_i] * [G/H_j] on the class basis; an index
+    that is not a class index raises NotContainedError, as in
+    BurnsideElement."""
     lat = subgroup_lattice(g)
+    n = lat.class_count
+    if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+        _check_class_indices(g, (i, j))  # raises, or lets a bool through
     x = _times_row(lat, ghost(lat, [(i, 1)]), j)
     return {l: c for l, c in enumerate(x) if c}
 

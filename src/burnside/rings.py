@@ -252,12 +252,24 @@ class _Elimination:
     columns of V, which start as the identity.  With ``m`` set, entries
     are reduced into [0, m) after each operation.
 
+    Operations come in batches with one source: ``add_rows(src, targets)``
+    adds k * row src to row i for each (i, k) in targets, and
+    ``add_cols(src, targets)`` adds k * column src to column j for each
+    (j, k).  No op in a batch changes the source or another target, so
+    the batch gives what the ops give one by one; a driver computes
+    every multiplier before the call, and cuts a batch where it must look
+    at an op's result before the next op.
+
     Ids never change; ``rat``/``cat`` give the id at each position and
     ``rpos``/``cpos`` the position of each id, so a swap costs O(1).
     ``holders[j]`` is the set of rows with a nonzero in column j, so a
-    column operation visits only those rows.  ``least[i]`` caches
-    (|x|, column position) of row i's smallest entry and is cleared by
-    every operation that touches row i.
+    column operation visits only those rows; an op adds a row to it only
+    when the row's entry there goes from zero to nonzero, and removes it
+    when the entry cancels.  ``least[i]`` caches (|x|, column position)
+    of row i's smallest entry.  It is cleared for each row that
+    ``add_rows`` adds to, for each row holding the source column of
+    ``add_cols``, and for each row holding either column of
+    ``swap_cols``, and ``pivot`` fills it again when it reads the row.
 
     At step t the rows at positions before t are finished: each holds
     only its pivot, and no later row holds a finished column.  ``alive``
@@ -351,48 +363,110 @@ class _Elimination:
         for i in self.holders[a] | self.holders[b]:
             self.least[i] = None
 
-    def add_row(self, src, dst, k):
-        """Row dst += k * row src, on A and on b."""
-        m, holders, drow = self.m, self.holders, self.rows[dst]
-        for j, x in self.rows[src].items():
-            y = drow.get(j, 0) + k * x
-            if m:
-                y %= m
-            if y:
-                drow[j] = y
-                holders[j].add(dst)
-            elif j in drow:
-                del drow[j]
-                holders[j].discard(dst)
-        if self.b[src]:
-            y = self.b[dst] + k * self.b[src]
-            self.b[dst] = y % m if m else y
-        self.least[dst] = None
+    def add_rows(self, src, targets):
+        """Row i += k * row src, on A and on b, for each (i, k) in targets.
 
-    def add_col(self, src, dst, k):
-        """Column dst += k * column src, on A and on V."""
-        m, rows, least, holding = self.m, self.rows, self.least, self.holders[dst]
-        for i in self.holders[src]:
-            row = rows[i]
-            y = row.get(dst, 0) + k * row[src]
-            if m:
-                y %= m
-            if y:
-                row[dst] = y
-                holding.add(i)
-            elif dst in row:
-                del row[dst]
-                holding.discard(i)
+        No target may be src.  The source row, with the ``holders`` set of
+        each of its columns, and the loop for the ring are bound once per
+        call; a multiplier that is zero in the ring is skipped.
+        """
+        m, rows, b, least, holders = self.m, self.rows, self.b, self.least, self.holders
+        srow = [(j, x, holders[j]) for j, x in rows[src].items()]
+        bs = b[src]
+        if m:
+            for i, k in targets:
+                if not (k := k % m):
+                    continue
+                drow = rows[i]
+                get = drow.get
+                for j, x, h in srow:
+                    y = get(j)
+                    if y is None:
+                        if y := k * x % m:
+                            drow[j] = y
+                            h.add(i)
+                    elif y := (y + k * x) % m:
+                        drow[j] = y
+                    else:
+                        del drow[j]
+                        h.discard(i)
+                if bs:
+                    b[i] = (b[i] + k * bs) % m
+                least[i] = None
+        else:
+            for i, k in targets:
+                if not k:
+                    continue
+                drow = rows[i]
+                get = drow.get
+                for j, x, h in srow:
+                    y = get(j)
+                    if y is None:
+                        drow[j] = k * x
+                        h.add(i)
+                    elif y := y + k * x:
+                        drow[j] = y
+                    else:
+                        del drow[j]
+                        h.discard(i)
+                if bs:
+                    b[i] = b[i] + k * bs
+                least[i] = None
+
+    def add_cols(self, src, targets):
+        """Column j += k * column src, on A and on V, for each (j, k) in
+        targets.
+
+        No target may be src.  The rows holding column src, with their
+        entries there, V's column src and the loop for the ring are bound
+        once per call; a multiplier that is zero in the ring is skipped.
+        """
+        m, rows, least, holders, v = self.m, self.rows, self.least, self.holders, self.v
+        scol = [(i, rows[i], rows[i][src]) for i in holders[src]]
+        vsrc = list(v[src].items())
+        for i, _, _ in scol:
             least[i] = None
-        vdst = self.v[dst]
-        for i, x in self.v[src].items():
-            y = vdst.get(i, 0) + k * x
-            if m:
-                y %= m
-            if y:
-                vdst[i] = y
-            elif i in vdst:
-                del vdst[i]
+        if m:
+            for j, k in targets:
+                if not (k := k % m):
+                    continue
+                h, vdst = holders[j], v[j]
+                for i, row, x in scol:
+                    y = row.get(j)
+                    if y is None:
+                        if y := k * x % m:
+                            row[j] = y
+                            h.add(i)
+                    elif y := (y + k * x) % m:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        h.discard(i)
+                for i, x in vsrc:
+                    if y := (vdst.get(i, 0) + k * x) % m:
+                        vdst[i] = y
+                    elif i in vdst:
+                        del vdst[i]
+        else:
+            for j, k in targets:
+                if not k:
+                    continue
+                h, vdst = holders[j], v[j]
+                for i, row, x in scol:
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = k * x
+                        h.add(i)
+                    elif y := y + k * x:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        h.discard(i)
+                for i, x in vsrc:
+                    if y := vdst.get(i, 0) + k * x:
+                        vdst[i] = y
+                    elif i in vdst:
+                        del vdst[i]
 
     def result(self):
         """The diagonal of S, U*b in row order and the columns of V."""
@@ -415,7 +489,9 @@ def _snf_int(rows, ncols, b):
     starts over; with |p| = 1 nothing can fail that test, so the scan is
     skipped.  A negative pivot has row t and its target negated.
     Keeping the smallest pivot is what keeps entries from blowing up on
-    the larger bilinearity systems.
+    the larger bilinearity systems.  The clear of the rows and the clear
+    of the columns are one batch each, every multiplier read off the
+    entries before the batch; the ``bad``-row add is a batch of one.
     """
     e = _Elimination(rows, ncols, b)
     rat, cat = e.rat, e.cat
@@ -424,17 +500,15 @@ def _snf_int(rows, ncols, b):
         pi, pj = rat[t], cat[t]
         prow = rows[pi]
         p = prow[pj]
-        for i in [i for i in e.holders[pj] if i != pi]:
-            e.add_row(pi, i, -(rows[i][pj] // p))
-        for j in [j for j in prow if j != pj]:
-            e.add_col(pj, j, -(prow[j] // p))
+        e.add_rows(pi, [(i, -(rows[i][pj] // p)) for i in e.holders[pj] if i != pi])
+        e.add_cols(pj, [(j, -(prow[j] // p)) for j in prow if j != pj])
         if len(e.holders[pj]) > 1 or len(prow) > 1:
             continue
         if abs(p) != 1:
             bad = next((q for q in e.alive if q > t and any(
                 x % p for x in rows[rat[q]].values())), None)
             if bad is not None:
-                e.add_row(rat[bad], pi, 1)
+                e.add_rows(rat[bad], [(pi, 1)])
                 continue
         if p < 0:
             prow[pj] = -p
@@ -455,7 +529,9 @@ def _diagonalize_mod(rows, ncols, b, m):
     column t, in order, get row_i -= (a_it // a_tt) * row_t, and a
     nonzero remainder swaps rows i and t at once; then the columns
     j > t of row t, in order, get col_j -= (a_tj // a_tt) * col_t, and a
-    nonzero remainder swaps columns j and t.
+    nonzero remainder swaps columns j and t.  A batch runs up to and
+    including the first row (column) that leaves a remainder, so the
+    swap that follows it, and the next batch, use the new row (column) t.
     """
     e = _Elimination(rows, ncols, b, m)
     rat, cat, rpos, cpos = e.rat, e.cat, e.rpos, e.cpos
@@ -466,20 +542,28 @@ def _diagonalize_mod(rows, ncols, b, m):
             dirty = False
             # the sorted positions stay valid: a swap with t only moves a
             # row or column at a position already passed
-            pj = cat[t]
+            pj, batch = cat[t], []
             for i in sorted(rpos[r] for r in e.holders[pj] if rpos[r] > t):
-                pi, ri = rat[t], rat[i]
-                e.add_row(pi, ri, -(rows[ri][pj] // rows[pi][pj]))
-                if pj in rows[ri]:
+                ri = rat[i]
+                q, r = divmod(rows[ri][pj], rows[rat[t]][pj])
+                batch.append((ri, -q))
+                if r:
+                    e.add_rows(rat[t], batch)
                     e.swap_rows(i, t)
-                    dirty = True
-            prow = rows[rat[t]]
+                    batch, dirty = [], True
+            if batch:
+                e.add_rows(rat[t], batch)
+            prow, batch = rows[rat[t]], []
             for j in sorted(cpos[c] for c in prow if cpos[c] > t):
-                pj, cj = cat[t], cat[j]
-                e.add_col(pj, cj, -(prow[cj] // prow[pj]))
-                if cj in prow:
+                cj = cat[j]
+                q, r = divmod(prow[cj], prow[cat[t]])
+                batch.append((cj, -q))
+                if r:
+                    e.add_cols(cat[t], batch)
                     e.swap_cols(j, t)
-                    dirty = True
+                    batch, dirty = [], True
+            if batch:
+                e.add_cols(cat[t], batch)
         t += 1
     return e.result()
 

@@ -172,6 +172,12 @@ def test_element_class_index_must_name_a_class(ci):
         with pytest.raises(NotContainedError, match=f"^no subgroup class {ci} in S3$"):
             BurnsideElement(s3, ZZ, coeffs)
     assert BurnsideElement(s3, ZZ, {3: 1}) == identity_element(s3, ZZ)
+    # structure_constants once wrapped -1 round to [G/G] and ended 4 in a
+    # bare IndexError
+    for i, j in ((ci, 0), (0, ci)):
+        with pytest.raises(NotContainedError, match=f"^no subgroup class {ci} in S3$"):
+            structure_constants(s3, i, j)
+    assert structure_constants(s3, 3, 0) == {0: 1}
 
 
 @pytest.mark.parametrize("ci", [1.5, 1.0, "1", None])
@@ -182,6 +188,10 @@ def test_element_class_index_must_be_an_int(ci):
         with pytest.raises(NotContainedError,
                            match=f"^subgroup class {ci!r} is not an int$"):
             BurnsideElement(s3, ZZ, coeffs)
+    for i, j in ((ci, 0), (0, ci)):
+        with pytest.raises(NotContainedError,
+                           match=f"^subgroup class {ci!r} is not an int$"):
+            structure_constants(s3, i, j)
 
 
 def test_lower_honours_the_denominator():

@@ -392,6 +392,10 @@ def _assert_matches_dense(a, b, m=0):
 
 
 def test_sparse_elimination_matches_dense_oracle_over_z():
+    # at step 0 the pivot 2 leaves 6 and 3 below and right of it, and 3 is
+    # not a multiple of 2, so the row holding it is added to row 0 and the
+    # step starts over
+    _assert_matches_dense([[2, 0, 0], [4, 6, 0], [0, 0, 3]], [1, 2, 3])
     rng = random.Random(60601)
     for rows, cols in _random_shapes(rng):
         a = _random_matrix(rng, rows, cols, lambda: rng.randint(-9, 9))
@@ -401,6 +405,14 @@ def test_sparse_elimination_matches_dense_oracle_over_z():
 
 @pytest.mark.parametrize("m", [2, 4, 6, 9, 12])
 def test_sparse_elimination_matches_dense_oracle_mod_m(m):
+    if m == 12:
+        # the pivot 2 has 4, 3, 6 below it in its column, then to its right
+        # in its row: the 3 leaves a remainder, so row (column) t is
+        # replaced inside one pass, and the 6 is cleared by the new one
+        _assert_matches_dense([[2, 5, 7], [4, 9, 2], [3, 8, 5], [6, 11, 10]],
+                              [1, 2, 3, 4], m)
+        _assert_matches_dense([[2, 4, 3, 6], [4, 5, 7, 9], [8, 11, 5, 3]],
+                              [5, 6, 7], m)
     rng = random.Random(60602 + m)
     for rows, cols in _random_shapes(rng):
         a = _random_matrix(rng, rows, cols, lambda: rng.randrange(m))
